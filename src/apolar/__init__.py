@@ -38,6 +38,7 @@ from .apolarity import (
     DegreeRangeError,
     GeneratorDegrees,
     HilbertFunction,
+    InvariantError,
     LinearSeries,
     ZeroSeriesError,
     apolar_ideal_component,

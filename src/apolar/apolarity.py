@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .linalg import QMatrix, Rational, SpanBuilder, kernel_basis, rank, row_space_basis
+from .linalg import QMatrix, Rational, SpanBuilder, kernel_basis, rank
 from .poly import (
     ContextMismatchError,
     DualForm,
@@ -38,6 +38,11 @@ class ZeroSeriesError(ValueError):
 
 class DegreeRangeError(ValueError):
     pass
+
+
+class InvariantError(RuntimeError):
+    """A computed dimension broke a bound that holds for every input: the
+    computation is wrong, not the input."""
 
 
 @dataclass(frozen=True)
@@ -152,21 +157,25 @@ def catalecticant_matrix(W: LinearSeries, t: int) -> QMatrix:
     basis = W.reduced_basis
     nrows = len(basis) * len(out_monos)
     data: list[list[Rational]] = [[Fraction(0)] * len(cols) for _ in range(nrows)]
+    # a column touches only the variables it differentiates, so the
+    # per-entry work is O(t), not O(n)
+    supports = [[(i, b) for i, b in enumerate(e) if b] for e in cols]
     for bi, f in enumerate(basis):
         base = bi * len(out_monos)
         for mf, c in f.terms.items():
-            for ci, e in enumerate(cols):
+            for ci, support in enumerate(supports):
                 factor = 1
-                for a, b in zip(mf, e):
-                    if b:
-                        if a < b:
-                            factor = 0
-                            break
-                        factor *= math.perm(a, b)
+                for i, b in support:
+                    if mf[i] < b:
+                        factor = 0
+                        break
+                    factor *= math.perm(mf[i], b)
                 if not factor:
                     continue
-                target = tuple(a - b for a, b in zip(mf, e))
-                data[base + out_index[target]][ci] += c * factor
+                target = list(mf)
+                for i, b in support:
+                    target[i] -= b
+                data[base + out_index[tuple(target)]][ci] += c * factor
     return QMatrix.from_rows(data) if nrows else QMatrix(0, len(cols), ())
 
 
@@ -176,9 +185,12 @@ def hilbert_function(W: LinearSeries) -> HilbertFunction:
     n = len(W.context)
     d = W.degree
     k = W.dim
-    assert dims[0] == 1
-    assert all(dims[t] <= math.comb(n + t - 1, t) for t in range(d + 1))
-    assert all(dims[t] <= k * math.comb(n + d - t - 1, d - t) for t in range(d + 1))
+    if dims[0] != 1:
+        raise InvariantError(f"Hilbert function starts with {dims[0]}, not 1")
+    for t in range(d + 1):
+        cap = min(math.comb(n + t - 1, t), k * math.comb(n + d - t - 1, d - t))
+        if dims[t] > cap:
+            raise InvariantError(f"Hilbert function value {dims[t]} at t={t} exceeds {cap}")
     return HilbertFunction(dims)
 
 
@@ -249,7 +261,11 @@ def minimal_generator_degrees(W: LinearSeries) -> GeneratorDegrees:
         for psi in prev:
             for i in range(n):
                 span.add(_shift(psi.terms, i))
-        assert span.dim <= k_dim
+        if span.dim > k_dim:
+            raise InvariantError(
+                f"degree-{t} products of lower generators span {span.dim} "
+                f"dimensions inside a {k_dim}-dimensional ideal piece"
+            )
         fresh = k_dim - span.dim
         if fresh:
             counts[t] = fresh
@@ -321,13 +337,13 @@ def colon_component(W: LinearSeries, theta: DualForm, t: int) -> list[DualForm]:
         for bi, c in enumerate(vec):
             if c:
                 data[bi][col] = -c
-    solutions = kernel_basis(QMatrix.from_rows(data))
-    projections = [v[: len(monos_t)] for v in solutions]
-    projections = [p for p in projections if any(p)]
-    if not projections:
-        return []
-    reduced = row_space_basis(QMatrix.from_rows(projections))
-    return [_dual_from_vector(ctx, monos_t, v) for v in reduced]
+    span = SpanBuilder()
+    for v in kernel_basis(QMatrix.from_rows(data)):
+        span.add({-c: x for c, x in enumerate(v[: len(monos_t)]) if x})
+    return [
+        DualForm(ctx, {monos_t[-k]: c for k, c in sorted(row.items(), reverse=True)})
+        for row in span.reduced_rows()
+    ]
 
 
 def quotient_length_with_linear(W: LinearSeries, partial: DualForm) -> int:

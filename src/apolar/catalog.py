@@ -33,7 +33,6 @@ from .apolarity import (
     HilbertFunction,
     LinearSeries,
     apolar_length,
-    minimal_generator_degrees,
 )
 from .bounds import (
     KIND_LOWER_CACTUS,
@@ -572,13 +571,3 @@ def matmul_bound(p: int, q: int, r: int) -> tuple[int, int]:
             f"matmul derivative bound {value} disagrees with closed form {closed}"
         )
     return value, -(-value // 2)
-
-
-# ----------------------------------------------------------------------
-# computed generator-degree sanity used by the table verify mode
-
-
-def delta_is_two(spec: FamilySpec) -> bool:
-    """True when the annihilator is generated in degree exactly 2."""
-    gens = minimal_generator_degrees(build(spec))
-    return gens.delta == 2 and set(gens.counts) == {2}

@@ -10,19 +10,13 @@ output.
 Exit codes: 0 success, 1 parse failure (bad polynomial text, bad dual
 form, unreadable file), 2 invalid parameters.  A completed
 verify-decomposition exits 0 whether the verdict is pass or fail.
-
-The environment variable APOLAR_THREADS caps worker threads for table
-verification columns (0 = auto, default 1); all operations are pure, so
-results do not depend on it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import catalog
@@ -38,6 +32,7 @@ from .poly import (
     ParseError,
     PolyError,
     Rational,
+    evaluate_decomposition,
     format_polynomial,
     parse_dual_form,
     parse_polynomial_list,
@@ -303,21 +298,6 @@ def cmd_bounds(args) -> str:
     return render_bounds(report, args.format)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("APOLAR_THREADS")
-    if raw is None:
-        return 1
-    try:
-        v = int(raw)
-    except ValueError:
-        raise CliError(f"error: invalid APOLAR_THREADS value {raw!r}", 2) from None
-    if v < 0:
-        raise CliError(f"error: invalid APOLAR_THREADS value {raw!r}", 2)
-    if v == 0:
-        return min(8, os.cpu_count() or 1)
-    return v
-
-
 def cmd_table(args) -> str:
     try:
         doc = closed_form_table(args.family, args.n_max)
@@ -325,17 +305,9 @@ def cmd_table(args) -> str:
         raise CliError(f"error: {exc}", 2) from exc
     checks = None
     if args.mode == "verify":
-        ns = [n for n in doc.ns if n <= VERIFY_N_CAP]
-        workers = _thread_count()
-        if workers > 1 and len(ns) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                recomputed = list(
-                    pool.map(lambda n: catalog.verify_table_column(args.family, n), ns)
-                )
-        else:
-            recomputed = [catalog.verify_table_column(args.family, n) for n in ns]
         checks = {}
-        for n, col in zip(ns, recomputed):
+        for n in [n for n in doc.ns if n <= VERIFY_N_CAP]:
+            col = catalog.verify_table_column(args.family, n)
             marks = {}
             for row in doc.rows:
                 if row.label in col:
@@ -411,10 +383,7 @@ def cmd_verify_decomposition(args) -> str:
         forms.append(form)
     if not forms:
         raise CliError(f"error: {args.file}: no summands found", 1)
-    d = W.degree
-    total = forms[0].zero(W.context)
-    for c, f in zip(coeffs, forms):
-        total = total + (f**d).scale(c)
+    total = evaluate_decomposition(forms, coeffs, W.degree)
     matched = total == target
     if args.format == "json":
         return _json_document(

@@ -1,19 +1,30 @@
 """Exact linear algebra over the rationals.
 
 Every Hilbert-function value computed in this package is the rank of a
-catalecticant matrix, and every graded ideal piece is a kernel, so the
-whole tool stands on the routines in this module.  Entries are
-``fractions.Fraction``; elimination clears denominators row by row and
-then runs fraction-free (Bareiss) Gaussian elimination on integers, so
-intermediate entries stay minors of the input and nothing is rounded.
+catalecticant matrix, every graded ideal piece is a kernel, and every
+derivative closure or generator count is the dimension of a growing
+span.  All of them run through one eliminator, :class:`SpanBuilder`, so
+nothing is rounded and elimination happens in one place.
 
-Determinism matters for golden output: pivots are chosen as the first
-nonzero entry in column order, and kernel bases are the reduced-echelon
-ones (one vector per free column, free columns in ascending index).
+Row form: a vector is a sparse map from orderable keys to rationals.
+Its denominators are cleared on entry, and every stored row is a
+primitive integer vector (entries with gcd 1, positive pivot) whose
+pivot is its largest key.  A vector meeting a stored row at that row's
+pivot ``p`` is eliminated fraction-free, as in Bareiss's method: with
+``g = gcd(v[p], row[p])`` it becomes ``v * (row[p]/g) - row * (v[p]/g)``,
+so entries stay integers, and its content is divided out before it is
+stored.
+
+Dense matrices enter with column ``c`` keyed as ``-c``, so each pivot is
+its row's first nonzero column.  Determinism of golden output rests on
+this: the reduced echelon form of a matrix is unique, and kernel bases
+are the reduced-echelon ones (one vector per free column, free columns
+in ascending index).
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,10 +63,6 @@ class QMatrix:
         return cls(nrows, ncols, tuple(data))
 
     @classmethod
-    def zero(cls, rows: int, cols: int) -> "QMatrix":
-        return cls(rows, cols, (Fraction(0),) * (rows * cols))
-
-    @classmethod
     def identity(cls, n: int) -> "QMatrix":
         ent = [Fraction(0)] * (n * n)
         for i in range(n):
@@ -84,72 +91,114 @@ class QMatrix:
         )
 
 
-def _integer_rows(m: QMatrix) -> list[list[int]]:
-    """Clear denominators row by row (row scaling preserves rank and kernel)."""
-    out = []
-    for i in range(m.rows):
-        row = m.row(i)
-        scale = 1
-        for x in row:
-            d = x.denominator
-            if d != 1:
-                g = _gcd(scale, d)
-                scale = scale // g * d
-        out.append([int(x.numerator * (scale // x.denominator)) for x in row])
-    return out
+def _eliminate(v: dict, a: int, lead: int, tail: dict) -> tuple[dict, int]:
+    """One fraction-free step: ``a`` is the coefficient just popped from
+    ``v`` at the pivot of the row ``(lead, tail)``.  Returns
+    ``v * (lead/g) - tail * (a/g)`` with ``g = gcd(a, lead)``, and the
+    factor ``lead/g`` that ``v`` was scaled by."""
+    g = math.gcd(a, lead)
+    a //= g
+    scale = lead // g
+    if scale != 1:
+        v = {k: c * scale for k, c in v.items()}
+    for k, c in tail.items():
+        nv = v.get(k, 0) - a * c
+        if nv:
+            v[k] = nv
+        else:
+            del v[k]
+    return v, scale
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+class SpanBuilder:
+    """Incremental sparse echelon form over the rationals.
 
-
-def _echelon(rows: list[list[int]], cols: int) -> tuple[list[list[int]], list[tuple[int, int]]]:
-    """Fraction-free forward elimination (Bareiss).
-
-    Returns the echelon rows and the pivot positions in elimination
-    order.  Every intermediate entry is a minor of the input matrix, so
-    the integer divisions below are exact.
+    Vectors are mappings from orderable keys (exponent tuples, or
+    negated column indices for matrices) to rational coefficients.  Rows
+    are stored as primitive integer vectors, one per pivot, the pivot
+    being the row's largest key; see the module docstring for the
+    elimination step.
     """
-    rows = [row[:] for row in rows]
-    pivots: list[tuple[int, int]] = []
-    prev = 1
-    r = 0
-    nrows = len(rows)
-    for c in range(cols):
-        if r >= nrows:
-            break
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pr is None:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        p = rows[r][c]
-        top = rows[r]
-        for i in range(r + 1, nrows):
-            cur = rows[i]
-            aic = cur[c]
-            if aic == 0 and not any(cur):
-                continue
-            for j in range(c + 1, cols):
-                q, rem = divmod(p * cur[j] - aic * top[j], prev)
-                if rem:
-                    raise AssertionError("inexact division in fraction-free elimination")
-                cur[j] = q
-            cur[c] = 0
-        pivots.append((r, c))
-        prev = p
-        r += 1
-    return rows, pivots
+
+    def __init__(self) -> None:
+        # pivot key -> (pivot coefficient, the rest of the row)
+        self._rows: dict[object, tuple[int, dict[object, int]]] = {}
+
+    @property
+    def dim(self) -> int:
+        return len(self._rows)
+
+    def _residue(self, vec: Mapping) -> dict:
+        """``vec`` with denominators cleared, eliminated against the stored
+        rows until its largest key is not a pivot (lower keys may remain
+        unreduced); empty iff ``vec`` lies in the span."""
+        v = {k: c for k, c in vec.items() if c}
+        scale = math.lcm(*(c.denominator for c in v.values()))
+        v = {k: c.numerator * (scale // c.denominator) for k, c in v.items()}
+        rows = self._rows
+        while v:
+            p = max(v)
+            stored = rows.get(p)
+            if stored is None:
+                break
+            v, _ = _eliminate(v, v.pop(p), *stored)
+        return v
+
+    def add(self, vec: Mapping) -> bool:
+        """Insert ``vec``; returns True iff it enlarged the span."""
+        v = self._residue(vec)
+        if not v:
+            return False
+        p = max(v)
+        g = math.gcd(*v.values())
+        if v[p] < 0:
+            g = -g
+        lead = v.pop(p) // g
+        self._rows[p] = (lead, {k: c // g for k, c in v.items()})
+        return True
+
+    def contains(self, vec: Mapping) -> bool:
+        return not self._residue(vec)
+
+    def reduced_rows(self) -> list[dict]:
+        """Reduced echelon basis of the span, largest pivot first.
+
+        Each row maps its pivot to 1, has 0 at every other pivot, and
+        has Fraction coefficients elsewhere.  The basis depends only on
+        the span, not on the order vectors were added.
+        """
+        done: dict[object, tuple[int, dict[object, int]]] = {}
+        for p in sorted(self._rows):
+            lead, tail = self._rows[p]
+            row = dict(tail)
+            # stored rows only reach lower keys, and each reduced row is
+            # zero at every pivot, so one pass over the pivots present
+            # in ``tail`` clears them all
+            for q in [k for k in tail if k in self._rows]:
+                row, scale = _eliminate(row, row.pop(q), *done[q])
+                lead *= scale
+            g = math.gcd(lead, *row.values())
+            done[p] = (lead // g, {k: c // g for k, c in row.items()})
+        out = []
+        for p in sorted(done, reverse=True):
+            lead, tail = done[p]
+            out.append({p: Fraction(1), **{k: Fraction(c, lead) for k, c in tail.items()}})
+        return out
+
+
+def _span(rows: Iterable[Sequence[int | Rational]], width: int) -> SpanBuilder:
+    """Builder over dense rows of length ``width``, column ``c`` keyed as ``-c``."""
+    span = SpanBuilder()
+    for row in rows:
+        if len(row) != width:
+            raise DimensionMismatchError("vectors have unequal lengths")
+        span.add({-c: x for c, x in enumerate(row) if x})
+    return span
 
 
 def rank(m: QMatrix) -> int:
     """Exact rank over the rationals."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    _, pivots = _echelon(_integer_rows(m), m.cols)
-    return len(pivots)
+    return _span(map(m.row, range(m.rows)), m.cols).dim
 
 
 def kernel_basis(m: QMatrix) -> list[tuple[Rational, ...]]:
@@ -159,135 +208,31 @@ def kernel_basis(m: QMatrix) -> list[tuple[Rational, ...]]:
     vector for free column ``f`` has a 1 there, 0 at the other free
     columns, and the unique pivot entries solving ``m @ v = 0``.
     """
-    if m.cols == 0:
-        return []
-    if m.rows == 0:
-        ech: list[list[int]] = []
-        pivots: list[tuple[int, int]] = []
-    else:
-        ech, pivots = _echelon(_integer_rows(m), m.cols)
-    pivot_cols = {c for _, c in pivots}
+    rows = _span(map(m.row, range(m.rows)), m.cols).reduced_rows()
+    pivots = {-max(row): row for row in rows}
+    # free column -> its (pivot column, entry) pairs; vectors are built
+    # one at a time because a kernel can hold cols^2 entries
+    entries = {f: [] for f in range(m.cols) if f not in pivots}
+    for pc, row in pivots.items():
+        for key, c in row.items():
+            if -key != pc:
+                entries[-key].append((pc, -c))
     basis = []
-    for f in range(m.cols):
-        if f in pivot_cols:
-            continue
-        v: list[Rational] = [Fraction(0)] * m.cols
+    for f, pairs in entries.items():
+        v = [Fraction(0)] * m.cols
         v[f] = Fraction(1)
-        support = [f]
-        for r, c in reversed(pivots):
-            if c > f:
-                continue
-            row = ech[r]
-            s = Fraction(0)
-            for j in support:
-                if j > c and row[j]:
-                    s += row[j] * v[j]
-            if s:
-                v[c] = -s / row[c]
-                support.append(c)
+        for pc, c in pairs:
+            v[pc] = c
         basis.append(tuple(v))
     return basis
-
-
-def row_space_basis(m: QMatrix) -> list[tuple[Rational, ...]]:
-    """Canonical (reduced row echelon) basis of the row space."""
-    rows = [list(m.row(i)) for i in range(m.rows)]
-    r = 0
-    pivots = []
-    for c in range(m.cols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        p = rows[r][c]
-        rows[r] = [x / p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return [tuple(rows[i]) for i in range(r)]
 
 
 def span_dim(vectors: Sequence[Sequence[int | Rational]]) -> int:
     """Dimension of the linear span of the given vectors."""
     vectors = list(vectors)
-    if not vectors:
-        return 0
-    n = len(vectors[0])
-    for v in vectors:
-        if len(v) != n:
-            raise DimensionMismatchError("vectors have unequal lengths")
-    return rank(QMatrix.from_rows(vectors))
+    return _span(vectors, len(vectors[0]) if vectors else 0).dim
 
 
 def in_span(v: Sequence[int | Rational], basis: Sequence[Sequence[int | Rational]]) -> bool:
     """True iff ``v`` lies in the span of ``basis``."""
-    basis = list(basis)
-    if not basis:
-        return all(Fraction(x) == 0 for x in v)
-    n = len(basis[0])
-    if len(v) != n:
-        raise DimensionMismatchError("vector length does not match basis")
-    for b in basis:
-        if len(b) != n:
-            raise DimensionMismatchError("vectors have unequal lengths")
-    base_rank = span_dim(basis)
-    return span_dim(basis + [list(v)]) == base_rank
-
-
-class SpanBuilder:
-    """Incremental echelon form over sparse rational vectors.
-
-    Vectors are mappings from orderable keys (here: exponent tuples) to
-    coefficients.  Each stored row is normalized to pivot coefficient 1,
-    with the pivot being the largest key present.  Used wherever a span
-    grows one vector at a time: derivative closures, ideal pieces, and
-    generator counting, where dense elimination would be wasteful.
-    """
-
-    def __init__(self) -> None:
-        self._rows: dict[object, dict] = {}
-
-    @property
-    def dim(self) -> int:
-        return len(self._rows)
-
-    def residue(self, vec: Mapping) -> dict:
-        v = {k: Fraction(c) for k, c in vec.items() if c}
-        while v:
-            p = max(v)
-            row = self._rows.get(p)
-            if row is None:
-                return v
-            coef = v.pop(p)
-            for k, val in row.items():
-                if k == p:
-                    continue
-                nv = v.get(k, Fraction(0)) - coef * val
-                if nv:
-                    v[k] = nv
-                else:
-                    v.pop(k, None)
-        return v
-
-    def add(self, vec: Mapping) -> bool:
-        """Insert ``vec``; returns True iff it enlarged the span."""
-        v = self.residue(vec)
-        if not v:
-            return False
-        p = max(v)
-        c = v[p]
-        self._rows[p] = {k: val / c for k, val in v.items()}
-        return True
-
-    def contains(self, vec: Mapping) -> bool:
-        return not self.residue(vec)
-
-    def extend(self, vecs: Iterable[Mapping]) -> int:
-        added = 0
-        for v in vecs:
-            if self.add(v):
-                added += 1
-        return added
+    return _span(basis, len(v)).contains({-c: x for c, x in enumerate(v) if x})

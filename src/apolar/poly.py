@@ -21,6 +21,7 @@ differentiates ``x[1,2]`` and ``d_y[1,2]`` differentiates ``y[1,2]``.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -320,12 +321,17 @@ def substitute(f: Polynomial, pos: int, replacement: Polynomial) -> Polynomial:
             powers[k] = power(k - 1) * replacement
         return powers[k]
 
-    out = Polynomial.zero(f.context)
+    out: dict[Monomial, Rational] = {}
     for m, c in f.terms.items():
-        k = m[pos]
         rest = m[:pos] + (0,) + m[pos + 1 :]
-        out = out + Polynomial(f.context, {rest: c}) * power(k)
-    return out
+        for mp, cp in power(m[pos]).terms.items():
+            target = tuple(a + b for a, b in zip(rest, mp))
+            nc = out.get(target, Fraction(0)) + c * cp
+            if nc:
+                out[target] = nc
+            else:
+                del out[target]
+    return Polynomial(f.context, out)
 
 
 def dehomogenize(f: Polynomial, l: Polynomial) -> Polynomial:
@@ -392,20 +398,16 @@ def evaluate_decomposition(
 
 
 def _monomials(n: int, degree: int) -> tuple[Monomial, ...]:
+    # multisets of variable positions in lexicographic order are exactly
+    # the exponent tuples in descending lexicographic order
     if degree < 0:
         return ()
-    if n == 0:
-        return ((),) if degree == 0 else ()
     out = []
-
-    def rec(prefix: tuple[int, ...], nleft: int, dleft: int) -> None:
-        if nleft == 1:
-            out.append(prefix + (dleft,))
-            return
-        for first in range(dleft, -1, -1):
-            rec(prefix + (first,), nleft - 1, dleft - first)
-
-    rec((), n, degree)
+    for positions in itertools.combinations_with_replacement(range(n), degree):
+        mono = [0] * n
+        for i in positions:
+            mono[i] += 1
+        out.append(tuple(mono))
     return tuple(out)
 
 

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -469,3 +473,48 @@ def test_series_tolerates_zero_members():
     W = LinearSeries.of_forms([p("x*y", XY), p("0", XY)])
     assert W.dim == 1
     assert apolar_length(W) == 4
+
+
+# ----------------------------------------------------------------------
+# invariant checks must fire under ``python -O``, which strips asserts
+
+_OPTIMIZED_SCRIPT = """
+import sys
+if __debug__:
+    sys.exit("expected python -O")
+import apolar.apolarity as ap
+from apolar import InvariantError, LinearSeries, parse_polynomial
+
+W = LinearSeries.of_form(parse_polynomial("x^3 + x*y^2"))
+orig_ideal = ap.apolar_ideal_component
+cases = {
+    "hilbert_start": ("rank", lambda m: 0, ap.hilbert_function),
+    "hilbert_cap": ("rank", lambda m: 1 if m.cols == 1 else 9, ap.hilbert_function),
+    "generators": (
+        "apolar_ideal_component",
+        lambda V, t: [] if t == V.degree else orig_ideal(V, t),
+        ap.minimal_generator_degrees,
+    ),
+}
+name, patched, fn = cases[sys.argv[1]]
+setattr(ap, name, patched)
+try:
+    fn(W)
+except InvariantError as exc:
+    print("caught:", exc)
+"""
+
+
+@pytest.mark.parametrize("case", ["hilbert_start", "hilbert_cap", "generators"])
+def test_invariant_checks_survive_optimized_mode(case):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_SCRIPT, case],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("caught:")

@@ -410,15 +410,9 @@ def test_module_entry_point_runs_in_subprocess():
     assert "[1, 6, 1]" in proc.stdout
 
 
-def test_thread_env_var_validated(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("APOLAR_THREADS", "abc")
-    code, _, err = run_cli(capsys, "table", "det", "--n-max", "2", "--mode", "verify")
-    assert code == 2
-    assert "APOLAR_THREADS" in err
-
-
-def test_thread_env_var_does_not_change_output(capsys, monkeypatch):
-    _, base, _ = run_cli(capsys, "table", "pf", "--n-max", "3", "--mode", "verify")
-    monkeypatch.setenv("APOLAR_THREADS", "0")
-    _, threaded, _ = run_cli(capsys, "table", "pf", "--n-max", "3", "--mode", "verify")
-    assert base == threaded
+def test_hilbert_of_linear_form_in_many_variables(tmp_path, capsys):
+    form = tmp_path / "wide.txt"
+    form.write_text(" + ".join(f"x[{i}]" for i in range(1, 1201)) + "\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "hilbert", "--form", str(form))
+    assert code == 0
+    assert "[1, 1]" in out

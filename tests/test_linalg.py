@@ -153,7 +153,25 @@ def test_span_builder_matches_dense_span():
         builder = SpanBuilder()
         for v in vecs:
             builder.add({i: c for i, c in enumerate(v) if c})
-        assert builder.dim == span_dim(vecs)
+        assert builder.dim == naive_rank(vecs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices())
+def test_reduced_rows_are_reduced_echelon_and_span_the_input(rows):
+    builder = SpanBuilder()
+    for row in rows:
+        builder.add({i: x for i, x in enumerate(row) if x})
+    reduced = builder.reduced_rows()
+    pivots = [max(r) for r in reduced]
+    assert pivots == sorted(pivots, reverse=True)
+    for r, p in zip(reduced, pivots):
+        assert r[p] == 1
+        assert all(r.get(q, 0) == 0 for q in pivots if q != p)
+        assert all(isinstance(x, Fraction) and x for x in r.values())
+    dense = [[r.get(i, 0) for i in range(len(rows[0]))] for r in reduced]
+    assert naive_rank(dense) == len(dense) == naive_rank(rows)
+    assert naive_rank(dense + rows) == naive_rank(rows)
 
 
 def test_span_builder_contains():

@@ -9,6 +9,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
 
@@ -20,6 +22,7 @@ from apolar import (
     catalecticant_matrix,
     dehomogenize,
     hilbert_function,
+    kernel_basis,
     monomial_basis,
     parse_polynomial,
     rank,
@@ -135,6 +138,34 @@ def test_exact_rank_matches_sympy_on_random_matrices():
             [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]
         )
         assert rank(m) == sm.rank()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 5).flatmap(
+        lambda r: st.integers(1, 6).flatmap(
+            lambda c: st.lists(
+                st.lists(
+                    st.fractions(min_value=-5, max_value=5, max_denominator=4),
+                    min_size=c,
+                    max_size=c,
+                ),
+                min_size=r,
+                max_size=r,
+            ).map(lambda rows: (rows, c))
+        )
+    )
+)
+def test_kernel_basis_matches_sympy_nullspace(shape):
+    rows, cols = shape
+    m = QMatrix(len(rows), cols, tuple(x for row in rows for x in row))
+    sm = sympy.Matrix(
+        len(rows), cols, [sympy.Rational(x.numerator, x.denominator) for row in rows for x in row]
+    )
+    expected = [
+        tuple(Fraction(int(x.p), int(x.q)) for x in v) for v in sm.nullspace()
+    ]
+    assert kernel_basis(m) == expected
 
 
 def test_hilbert_function_matches_sympy_catalecticant_ranks():
