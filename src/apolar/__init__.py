@@ -1,8 +1,10 @@
 """Exact apolarity computations and Waring/cactus rank bounds.
 
 Everything is exact over the rationals: sparse polynomials, dual forms
-acting by differentiation, catalecticant ranks and kernels, apolar
-Hilbert functions, and the bound families built on them.
+acting by differentiation, graded derivative layers (sparse integer
+spans) and the Hilbert functions, apolar lengths and annihilator pieces
+read off them, and the bound families built on them.  Catalecticant
+matrices remain available on request.
 """
 
 from .linalg import (

@@ -1,16 +1,29 @@
-"""Apolar algebras of forms and linear series.
+"""Apolar algebras of forms and linear series, from derivative layers.
 
-The pairing between the dual ring and the polynomial ring is realized
-as catalecticant matrices: for a series W of degree-d forms, the degree-t
-catalecticant is the matrix of
+For a series W of degree-d forms in n variables the derivative layers are
 
-    Theta  ->  (Theta F_1, ..., Theta F_k),   Theta in the degree-t dual piece,
+    A_d = span(W),    A_{t-1} = span{ d/dx_i v : v in A_t, i = 1..n },
 
-over a reduced basis F_1, ..., F_k of W.  Its kernel is the degree-t
-piece of the annihilator of W and its rank is the degree-t dimension of
-the apolar algebra, so Hilbert functions, apolar lengths, annihilator
-pieces, minimal generator degrees and colon pieces all come out of exact
-rank/kernel computations.
+so A_t is the span of all (d-t)-th partial derivatives of W (the
+degree-t piece of its Macaulay inverse system, Diff(W)).  Each layer is
+a :class:`SpanBuilder` of primitive integer rows keyed by exponent
+tuples, and the next layer differentiates the stored integer rows
+directly.  Everything is read off the layers:
+
+* the Hilbert function is ``dims[t] = dim A_t``, which is the rank of
+  the degree-t catalecticant (its transpose has image A_t), for series
+  as well as single forms, and the apolar length is their sum;
+* the degree-t annihilator piece is the orthogonal complement of A_t
+  under the pairing ``<d^beta, x^alpha> = alpha! * delta(alpha, beta)``:
+  the kernel of the ``h(t) x dim S_t`` matrix whose rows are
+  ``{alpha: alpha! * g_alpha}`` for the rows g of A_t;
+* colon pieces and quotient lengths pair dual forms against the same
+  layers.
+
+So the work grows with the Hilbert function h(t), not with
+``dim S_t = C(n+t-1, t)``, except where an answer itself holds one
+vector per degree-t monomial.  The catalecticant matrix stays available
+to callers who want it, but nothing here computes through it.
 """
 
 from __future__ import annotations
@@ -20,7 +33,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .linalg import QMatrix, Rational, SpanBuilder, kernel_basis, rank
+from .linalg import QMatrix, Rational, SpanBuilder
+# no longer called here, but still importable under these names: the
+# bench tracer (bench/tracing.py) wraps them in this module
+from .linalg import kernel_basis, rank  # noqa: F401
 from .poly import (
     ContextMismatchError,
     DualForm,
@@ -103,6 +119,38 @@ class LinearSeries:
     def dim(self) -> int:
         return len(self.reduced_basis)
 
+    @cached_property
+    def layers(self) -> tuple[SpanBuilder, ...]:
+        """Derivative layers A_0, ..., A_d indexed by degree: A_d spans
+        the series, A_{t-1} the first partials of the rows of A_t."""
+        top = SpanBuilder()
+        for f in self.reduced_basis:
+            top.add(f.terms)
+        n = len(self.context)
+        layers = [top]
+        for _ in range(self.degree):
+            below = SpanBuilder()
+            for row in layers[-1].rows():
+                for dv in _partials(row, n):
+                    below.add(dv)
+            layers.append(below)
+        return tuple(reversed(layers))
+
+
+def _partials(row, n: int):
+    """The nonzero first partials of a sparse row ``{exponents: coeff}``.
+
+    ``m -> m - e_i`` is injective, so no two terms of one partial meet
+    and none cancels."""
+    for i in range(n):
+        out = {}
+        for m, c in row.items():
+            e = m[i]
+            if e:
+                out[m[:i] + (e - 1,) + m[i + 1 :]] = c * e
+        if out:
+            yield out
+
 
 def differentiate_series(W: LinearSeries, theta: DualForm) -> LinearSeries | None:
     """The series of derivatives theta(F) for F in W; None if it is zero."""
@@ -144,8 +192,11 @@ def catalecticant_matrix(W: LinearSeries, t: int) -> QMatrix:
 
     Columns are indexed by degree-t dual monomials in graded-lex order;
     the rows stack, for each basis form, the coefficient vector of the
-    image in degree d-t.  Kernel = degree-t annihilator piece, rank =
-    degree-t dimension of the apolar algebra.
+    image in degree d-t.  Its kernel is the degree-t annihilator piece
+    and its rank the degree-t Hilbert function value.  Those are
+    computed from the derivative layers instead (see the module
+    docstring), which is far smaller: this matrix has
+    ``dim W * dim S_{d-t}`` rows and ``dim S_t`` columns.
     """
     d = W.degree
     if t < 0 or t > d:
@@ -180,17 +231,25 @@ def catalecticant_matrix(W: LinearSeries, t: int) -> QMatrix:
 
 
 def hilbert_function(W: LinearSeries) -> HilbertFunction:
-    """dims[t] = rank of the degree-t catalecticant, t = 0..d."""
-    dims = tuple(rank(catalecticant_matrix(W, t)) for t in range(W.degree + 1))
+    """dims[t] = dim A_t, the degree-t derivative layer, t = 0..d (equal
+    to the rank of the degree-t catalecticant)."""
+    dims = tuple(layer.dim for layer in W.layers)
     n = len(W.context)
     d = W.degree
     k = W.dim
     if dims[0] != 1:
         raise InvariantError(f"Hilbert function starts with {dims[0]}, not 1")
+    if dims[d] != k:
+        raise InvariantError(f"top layer has dimension {dims[d]}, not dim W = {k}")
     for t in range(d + 1):
         cap = min(math.comb(n + t - 1, t), k * math.comb(n + d - t - 1, d - t))
         if dims[t] > cap:
             raise InvariantError(f"Hilbert function value {dims[t]} at t={t} exceeds {cap}")
+        if t and dims[t - 1] > n * dims[t]:
+            raise InvariantError(
+                f"layer {t - 1} has dimension {dims[t - 1]}, more than the "
+                f"{n} * {dims[t]} partials of layer {t}"
+            )
     return HilbertFunction(dims)
 
 
@@ -200,26 +259,63 @@ def apolar_length(W: LinearSeries) -> int:
     return hilbert_function(W).total
 
 
-def _dual_from_vector(
-    ctx: VarContext, monos: list[Monomial], vec
-) -> DualForm:
-    return DualForm(ctx, {m: c for m, c in zip(monos, vec) if c})
+def _weight(m: Monomial) -> int:
+    """alpha!, the pairing <d^alpha, x^alpha>."""
+    w = 1
+    for e in m:
+        if e > 1:
+            w *= math.factorial(e)
+    return w
+
+
+def _orthogonal(rows, monos: list[Monomial]) -> list[dict[Monomial, Fraction]]:
+    """Kernel basis of the matrix with the given sparse rows: the vectors
+    v over ``monos`` with ``sum(row[m] * v[m]) == 0`` for every row.
+
+    ``monos`` are degree-t monomials in :func:`monomial_basis` order, the
+    column order.  Monomial keys compare like negated column indices, so
+    the echelon pivots are the first nonzero columns and this is the
+    reduced-echelon kernel basis of the dense matrix: one vector per
+    free column, free columns ascending, with 1 at its free column and
+    minus the reduced rows' entries at the pivot columns, terms in
+    column order.
+    """
+    span = SpanBuilder()
+    for row in rows:
+        span.add(row)
+    entries = {m: [] for m in monos}
+    # reduced rows come largest pivot first, so each list of pivot
+    # entries is in column order
+    for row in span.reduced_rows():
+        it = iter(row.items())
+        p, _ = next(it)
+        del entries[p]
+        for m, c in it:
+            entries[m].append((p, -c))
+    return [{**dict(pairs), m: Fraction(1)} for m, pairs in entries.items()]
+
+
+def _annihilator(W: LinearSeries, t: int) -> list[dict[Monomial, Fraction]]:
+    """Degree-t annihilator piece (t <= d) as the orthogonal complement
+    of the layer A_t, sparse."""
+    rows = ({m: _weight(m) * c for m, c in g.items()} for g in W.layers[t].rows())
+    return _orthogonal(rows, monomial_basis(W.context, t))
 
 
 def apolar_ideal_component(W: LinearSeries, t: int) -> list[DualForm]:
     """Basis of the degree-t piece of the annihilator of W.
 
-    For t above the series degree the piece is the full dual space, so
-    the monomial basis itself is returned.
+    Below the top degree this is the reduced-echelon basis of the
+    orthogonal complement of the layer A_t (the kernel basis of the
+    degree-t catalecticant).  For t above the series degree the piece is
+    the full dual space, so the monomial basis itself is returned.
     """
     if t < 0:
         raise DegreeRangeError("degree must be non-negative")
     ctx = W.context
-    monos = monomial_basis(ctx, t)
     if t > W.degree:
-        return [DualForm(ctx, {m: Fraction(1)}) for m in monos]
-    vectors = kernel_basis(catalecticant_matrix(W, t))
-    return [_dual_from_vector(ctx, monos, v) for v in vectors]
+        return [DualForm(ctx, {m: Fraction(1)}) for m in monomial_basis(ctx, t)]
+    return [DualForm(ctx, v) for v in _annihilator(W, t)]
 
 
 def _shift(terms: dict[Monomial, Rational], pos: int) -> dict[Monomial, Rational]:
@@ -304,10 +400,12 @@ def minimal_generators(
 def colon_component(W: LinearSeries, theta: DualForm, t: int) -> list[DualForm]:
     """Degree-t piece of the colon of the annihilator by theta.
 
-    Computed directly as the dual forms of degree t whose product with
-    theta annihilates W, via one stacked kernel computation; no use is
-    made of the annihilator of the derivative series, so this can be
-    compared against it as an independent identity check.
+    Computed directly as the dual forms psi of degree t whose product
+    with theta annihilates W, i.e. is orthogonal to the layer A_{t+e}:
+    one row ``beta -> <theta * d^beta, g>`` per row g of A_{t+e}.  No
+    derivative series is formed and its annihilator is not used, so
+    this can be compared against it as an independent identity check.
+    Returned as the reduced-echelon basis of the piece.
     """
     if not isinstance(theta, DualForm) or theta.context != W.context:
         raise ContextMismatchError("colon divisor must be a DualForm over the same context")
@@ -319,29 +417,25 @@ def colon_component(W: LinearSeries, theta: DualForm, t: int) -> list[DualForm]:
         raise DegreeRangeError("degree must be non-negative")
     ctx = W.context
     e = theta.homogeneous_degree()
-    d = W.degree
     monos_t = monomial_basis(ctx, t)
-    if t + e > d:
+    if t + e > W.degree:
         return [DualForm(ctx, {m: Fraction(1)}) for m in monos_t]
-    monos_big = monomial_basis(ctx, t + e)
-    big_index = {m: i for i, m in enumerate(monos_big)}
-    ideal_vectors = kernel_basis(catalecticant_matrix(W, t + e))
-    ncols = len(monos_t) + len(ideal_vectors)
-    data: list[list[Rational]] = [[Fraction(0)] * ncols for _ in monos_big]
-    for ci, m in enumerate(monos_t):
-        for me, ce in theta.terms.items():
-            target = tuple(a + b for a, b in zip(m, me))
-            data[big_index[target]][ci] += ce
-    for ki, vec in enumerate(ideal_vectors):
-        col = len(monos_t) + ki
-        for bi, c in enumerate(vec):
-            if c:
-                data[bi][col] = -c
+    rows = []
+    for g in W.layers[t + e].rows():
+        # <theta * d^beta, g> = sum over gamma of theta_gamma (beta+gamma)! g_(beta+gamma)
+        row: dict[Monomial, Rational] = {}
+        for mu, c in g.items():
+            wc = _weight(mu) * c
+            for gamma, ce in theta.terms.items():
+                beta = tuple(a - b for a, b in zip(mu, gamma))
+                if all(x >= 0 for x in beta):
+                    row[beta] = row.get(beta, 0) + ce * wc
+        rows.append(row)
     span = SpanBuilder()
-    for v in kernel_basis(QMatrix.from_rows(data)):
-        span.add({-c: x for c, x in enumerate(v[: len(monos_t)]) if x})
+    for v in _orthogonal(rows, monos_t):
+        span.add(v)
     return [
-        DualForm(ctx, {monos_t[-k]: c for k, c in sorted(row.items(), reverse=True)})
+        DualForm(ctx, dict(sorted(row.items(), reverse=True)))
         for row in span.reduced_rows()
     ]
 
@@ -349,10 +443,12 @@ def colon_component(W: LinearSeries, theta: DualForm, t: int) -> list[DualForm]:
 def quotient_length_with_linear(W: LinearSeries, partial: DualForm) -> int:
     """Length of the dual ring modulo (annihilator of W) + (one linear dual form).
 
-    Summed degree by degree from explicit spans; degrees above d
-    contribute nothing because the annihilator piece is everything
-    there.  No derivative series is formed, so the value can be checked
-    against the difference of apolar lengths.
+    Summed degree by degree from explicit spans of the annihilator piece
+    (the orthogonal complement of the layer A_t) and the multiples of
+    the linear form; degrees above d contribute nothing because the
+    annihilator piece is everything there.  No derivative series is
+    formed, so the value can be checked against the difference of
+    apolar lengths.
     """
     if not isinstance(partial, DualForm) or partial.context != W.context:
         raise ContextMismatchError("expected a DualForm over the series context")
@@ -365,8 +461,8 @@ def quotient_length_with_linear(W: LinearSeries, partial: DualForm) -> int:
         full = math.comb(n + t - 1, t)
         span = SpanBuilder()
         if t >= 1:
-            for psi in apolar_ideal_component(W, t):
-                span.add(psi.terms)
+            for psi in _annihilator(W, t):
+                span.add(psi)
             for m in monomial_basis(ctx, t - 1):
                 span.add(
                     {
@@ -381,21 +477,23 @@ def quotient_length_with_linear(W: LinearSeries, partial: DualForm) -> int:
 def diff_closure_dim(f: Polynomial) -> int:
     """Dimension of the span of all iterated partials of f (f included).
 
-    Works for non-homogeneous input; saturates breadth-first, which must
-    stop because each step drops degree.
+    Works for non-homogeneous input; saturates breadth-first on integer
+    rows (f with its denominators cleared), which must stop because each
+    step drops degree.
     """
     if f.is_zero:
         raise ValueError("the derivative closure of zero is not defined")
+    scale = math.lcm(*(c.denominator for c in f.terms.values()))
+    top = {m: c.numerator * (scale // c.denominator) for m, c in f.terms.items()}
     span = SpanBuilder()
-    span.add(f.terms)
-    frontier = [f]
+    span.add(top)
+    frontier = [top]
     n = len(f.context)
     while frontier:
         fresh = []
         for g in frontier:
-            for i in range(n):
-                h = g.partial(i)
-                if h.terms and span.add(h.terms):
+            for h in _partials(g, n):
+                if span.add(h):
                     fresh.append(h)
         frontier = fresh
     return span.dim

@@ -1,10 +1,13 @@
 """Exact linear algebra over the rationals.
 
-Every Hilbert-function value computed in this package is the rank of a
-catalecticant matrix, every graded ideal piece is a kernel, and every
-derivative closure or generator count is the dimension of a growing
-span.  All of them run through one eliminator, :class:`SpanBuilder`, so
-nothing is rounded and elimination happens in one place.
+Every Hilbert-function value computed in this package is the dimension
+of a derivative layer (a span of integer rows), every graded ideal piece
+is the orthogonal complement of one, read off its reduced echelon form,
+and every derivative closure or generator count is the dimension of a
+growing span.  All of them run through one eliminator,
+:class:`SpanBuilder`, so nothing is rounded and elimination happens in
+one place; :func:`rank` and :func:`kernel_basis` serve dense matrices
+with the same engine.
 
 Row form: a vector is a sparse map from orderable keys to rationals.
 Its denominators are cleared on entry, and every stored row is a
@@ -16,7 +19,8 @@ so entries stay integers, and its content is divided out before it is
 stored.
 
 Dense matrices enter with column ``c`` keyed as ``-c``, so each pivot is
-its row's first nonzero column.  Determinism of golden output rests on
+its row's first nonzero column (exponent-tuple keys in descending
+monomial order behave the same way).  Determinism of golden output rests on
 this: the reduced echelon form of a matrix is unique, and kernel bases
 are the reduced-echelon ones (one vector per free column, free columns
 in ascending index).
@@ -25,7 +29,7 @@ in ascending index).
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -159,6 +163,12 @@ class SpanBuilder:
 
     def contains(self, vec: Mapping) -> bool:
         return not self._residue(vec)
+
+    def rows(self) -> Iterator[dict]:
+        """The stored primitive integer rows, pivot term first, in the
+        order they were stored; they span the same space as the input."""
+        for p, (lead, tail) in self._rows.items():
+            yield {p: lead, **tail}
 
     def reduced_rows(self) -> list[dict]:
         """Reduced echelon basis of the span, largest pivot first.

@@ -5,6 +5,7 @@ derivative enumeration, sharing no code with the package internals.
 """
 
 from fractions import Fraction
+from math import factorial
 
 from apolar import Polynomial, monomial_basis
 
@@ -57,3 +58,85 @@ def brute_hilbert(forms):
         dims[t] = naive_span_dim(vectors) if vectors else 0
         layer = [g.partial(i) for g in layer for i in range(n)]
     return dims
+
+
+# ----------------------------------------------------------------------
+# catalecticant oracle: the textbook matrix of the degree-t pairing,
+# built entry by entry from coefficients and factorials
+
+
+def naive_monomials(n, t):
+    """Exponent tuples of degree t in n variables, lexicographically
+    descending (the column order of the package)."""
+    if n == 0:
+        return [()] if t == 0 else []
+    return [(e,) + rest for e in range(t, -1, -1) for rest in naive_monomials(n - 1, t - e)]
+
+
+def naive_catalecticant(forms, t):
+    """Rows: (form F, degree d-t monomial x^beta); columns: degree-t
+    monomials alpha; entry = coefficient of x^beta in d^alpha F, which is
+    F_(alpha+beta) * (alpha+beta)! / beta!."""
+    d = forms[0].homogeneous_degree()
+    n = len(forms[0].context)
+    cols = naive_monomials(n, t)
+    rows = []
+    for f in forms:
+        for beta in naive_monomials(n, d - t):
+            row = []
+            for alpha in cols:
+                mono = tuple(a + b for a, b in zip(alpha, beta))
+                weight = 1
+                for a, b in zip(alpha, beta):
+                    weight *= factorial(a + b) // factorial(b)
+                row.append(f.coefficient(mono) * weight)
+            rows.append(row)
+    return rows, cols
+
+
+def naive_catalecticant_hilbert(forms):
+    """dims[t] = rank of the degree-t catalecticant."""
+    d = forms[0].homogeneous_degree()
+    return [naive_rank(naive_catalecticant(forms, t)[0]) for t in range(d + 1)]
+
+
+def naive_nullspace(rows, ncols):
+    """Right kernel by Gauss-Jordan: one vector per free column, free
+    columns ascending, 1 at the free column and 0 at the other free
+    columns."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivot_cols = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivot_cols.append(c)
+        r += 1
+    basis = []
+    for free in range(ncols):
+        if free in pivot_cols:
+            continue
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for i, pc in enumerate(pivot_cols):
+            v[pc] = -m[i][free]
+        basis.append(v)
+    return basis
+
+
+def naive_ideal_component(forms, t):
+    """Degree-t annihilator piece as ``{exponents: coefficient}`` dicts:
+    the Gauss-Jordan kernel of the degree-t catalecticant."""
+    rows, cols = naive_catalecticant(forms, t)
+    return [
+        {m: c for m, c in zip(cols, v) if c}
+        for v in naive_nullspace(rows, len(cols))
+    ]

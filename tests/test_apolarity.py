@@ -487,9 +487,23 @@ from apolar import InvariantError, LinearSeries, parse_polynomial
 
 W = LinearSeries.of_form(parse_polynomial("x^3 + x*y^2"))
 orig_ideal = ap.apolar_ideal_component
+
+
+class FakeLayer:
+    def __init__(self, dim):
+        self.dim = dim
+
+
+def layers(*dims):
+    return property(lambda self: tuple(FakeLayer(k) for k in dims))
+
+
+# true layer dimensions: 1, 2, 2, 1
 cases = {
-    "hilbert_start": ("rank", lambda m: 0, ap.hilbert_function),
-    "hilbert_cap": ("rank", lambda m: 1 if m.cols == 1 else 9, ap.hilbert_function),
+    "hilbert_start": ("layers", layers(0, 2, 2, 1), ap.hilbert_function),
+    "hilbert_cap": ("layers", layers(1, 3, 2, 1), ap.hilbert_function),
+    "layer_top": ("layers", layers(1, 2, 2, 2), ap.hilbert_function),
+    "layer_growth": ("layers", layers(1, 0, 2, 1), ap.hilbert_function),
     "generators": (
         "apolar_ideal_component",
         lambda V, t: [] if t == V.degree else orig_ideal(V, t),
@@ -497,15 +511,25 @@ cases = {
     ),
 }
 name, patched, fn = cases[sys.argv[1]]
-setattr(ap, name, patched)
+setattr(ap.LinearSeries if name == "layers" else ap, name, patched)
 try:
     fn(W)
 except InvariantError as exc:
     print("caught:", exc)
 """
 
+_EXPECTED_MESSAGE = {
+    "hilbert_start": "starts with 0",
+    "hilbert_cap": "exceeds",
+    "layer_top": "top layer",
+    "layer_growth": "partials of layer",
+    "generators": "ideal piece",
+}
 
-@pytest.mark.parametrize("case", ["hilbert_start", "hilbert_cap", "generators"])
+
+@pytest.mark.parametrize(
+    "case", ["hilbert_start", "hilbert_cap", "layer_top", "layer_growth", "generators"]
+)
 def test_invariant_checks_survive_optimized_mode(case):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
@@ -518,3 +542,4 @@ def test_invariant_checks_survive_optimized_mode(case):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("caught:")
+    assert _EXPECTED_MESSAGE[case] in proc.stdout
