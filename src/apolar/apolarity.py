@@ -29,6 +29,7 @@ to callers who want it, but nothing here computes through it.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -120,7 +121,7 @@ class LinearSeries:
         return len(self.reduced_basis)
 
     @cached_property
-    def layers(self) -> tuple[SpanBuilder, ...]:
+    def _layers(self) -> tuple[SpanBuilder, ...]:
         """Derivative layers A_0, ..., A_d indexed by degree: A_d spans
         the series, A_{t-1} the first partials of the rows of A_t."""
         top = SpanBuilder()
@@ -233,7 +234,7 @@ def catalecticant_matrix(W: LinearSeries, t: int) -> QMatrix:
 def hilbert_function(W: LinearSeries) -> HilbertFunction:
     """dims[t] = dim A_t, the degree-t derivative layer, t = 0..d (equal
     to the rank of the degree-t catalecticant)."""
-    dims = tuple(layer.dim for layer in W.layers)
+    dims = tuple(layer.dim for layer in W._layers)
     n = len(W.context)
     d = W.degree
     k = W.dim
@@ -268,38 +269,15 @@ def _weight(m: Monomial) -> int:
     return w
 
 
-def _orthogonal(rows, monos: list[Monomial]) -> list[dict[Monomial, Fraction]]:
-    """Kernel basis of the matrix with the given sparse rows: the vectors
-    v over ``monos`` with ``sum(row[m] * v[m]) == 0`` for every row.
-
-    ``monos`` are degree-t monomials in :func:`monomial_basis` order, the
-    column order.  Monomial keys compare like negated column indices, so
-    the echelon pivots are the first nonzero columns and this is the
-    reduced-echelon kernel basis of the dense matrix: one vector per
-    free column, free columns ascending, with 1 at its free column and
-    minus the reduced rows' entries at the pivot columns, terms in
-    column order.
-    """
-    span = SpanBuilder()
-    for row in rows:
-        span.add(row)
-    entries = {m: [] for m in monos}
-    # reduced rows come largest pivot first, so each list of pivot
-    # entries is in column order
-    for row in span.reduced_rows():
-        it = iter(row.items())
-        p, _ = next(it)
-        del entries[p]
-        for m, c in it:
-            entries[m].append((p, -c))
-    return [{**dict(pairs), m: Fraction(1)} for m, pairs in entries.items()]
-
-
-def _annihilator(W: LinearSeries, t: int) -> list[dict[Monomial, Fraction]]:
+def _annihilator(W: LinearSeries, t: int) -> Iterator[dict[Monomial, Fraction]]:
     """Degree-t annihilator piece (t <= d) as the orthogonal complement
-    of the layer A_t, sparse."""
-    rows = ({m: _weight(m) * c for m, c in g.items()} for g in W.layers[t].rows())
-    return _orthogonal(rows, monomial_basis(W.context, t))
+    of the layer A_t, sparse, in the reduced-echelon basis of the dense
+    catalecticant kernel: monomial keys compare like negated column
+    indices, so pivots are the first nonzero columns."""
+    span = SpanBuilder()
+    for g in W._layers[t].rows():
+        span.add({m: _weight(m) * c for m, c in g.items()})
+    return span.kernel(monomial_basis(W.context, t))
 
 
 def apolar_ideal_component(W: LinearSeries, t: int) -> list[DualForm]:
@@ -420,8 +398,8 @@ def colon_component(W: LinearSeries, theta: DualForm, t: int) -> list[DualForm]:
     monos_t = monomial_basis(ctx, t)
     if t + e > W.degree:
         return [DualForm(ctx, {m: Fraction(1)}) for m in monos_t]
-    rows = []
-    for g in W.layers[t + e].rows():
+    pairing = SpanBuilder()
+    for g in W._layers[t + e].rows():
         # <theta * d^beta, g> = sum over gamma of theta_gamma (beta+gamma)! g_(beta+gamma)
         row: dict[Monomial, Rational] = {}
         for mu, c in g.items():
@@ -430,13 +408,13 @@ def colon_component(W: LinearSeries, theta: DualForm, t: int) -> list[DualForm]:
                 beta = tuple(a - b for a, b in zip(mu, gamma))
                 if all(x >= 0 for x in beta):
                     row[beta] = row.get(beta, 0) + ce * wc
-        rows.append(row)
-    span = SpanBuilder()
-    for v in _orthogonal(rows, monos_t):
-        span.add(v)
+        pairing.add(row)
+    colon = SpanBuilder()
+    for v in pairing.kernel(monos_t):
+        colon.add(v)
     return [
         DualForm(ctx, dict(sorted(row.items(), reverse=True)))
-        for row in span.reduced_rows()
+        for row in colon.reduced_rows()
     ]
 
 

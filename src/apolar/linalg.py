@@ -2,12 +2,12 @@
 
 Every Hilbert-function value computed in this package is the dimension
 of a derivative layer (a span of integer rows), every graded ideal piece
-is the orthogonal complement of one, read off its reduced echelon form,
-and every derivative closure or generator count is the dimension of a
-growing span.  All of them run through one eliminator,
-:class:`SpanBuilder`, so nothing is rounded and elimination happens in
-one place; :func:`rank` and :func:`kernel_basis` serve dense matrices
-with the same engine.
+is the orthogonal complement of one (:meth:`SpanBuilder.kernel`, read
+off the reduced echelon form), and every derivative closure or
+generator count is the dimension of a growing span.  All of them run
+through one eliminator, :class:`SpanBuilder`, so nothing is rounded and
+elimination happens in one place; :func:`rank` and :func:`kernel_basis`
+serve dense matrices with the same engine.
 
 Row form: a vector is a sparse map from orderable keys to rationals.
 Its denominators are cleared on entry, and every stored row is a
@@ -195,6 +195,29 @@ class SpanBuilder:
             out.append({p: Fraction(1), **{k: Fraction(c, lead) for k, c in tail.items()}})
         return out
 
+    def kernel(self, keys: Iterable) -> Iterator[dict]:
+        """Basis of the vectors over ``keys`` whose dot product with every
+        stored row is 0 (the kernel of the matrix these rows span).
+
+        ``keys`` are the columns: each key once, every key of the rows
+        among them.  One vector per key that is not a pivot, in the
+        order of ``keys``, with 1 at that key, minus the reduced rows'
+        entries at the pivots, and nothing elsewhere.  Pivot terms come
+        first, largest pivot first, then the free key.  This is the
+        reduced-echelon kernel basis, so it depends only on the span.
+        """
+        entries = {k: [] for k in keys}
+        # reduced rows come largest pivot first, so each list of pivot
+        # entries is in descending pivot order
+        for row in self.reduced_rows():
+            it = iter(row.items())
+            p, _ = next(it)
+            del entries[p]
+            for k, c in it:
+                entries[k].append((p, -c))
+        for k, pairs in entries.items():
+            yield {**dict(pairs), k: Fraction(1)}
+
 
 def _span(rows: Iterable[Sequence[int | Rational]], width: int) -> SpanBuilder:
     """Builder over dense rows of length ``width``, column ``c`` keyed as ``-c``."""
@@ -218,22 +241,14 @@ def kernel_basis(m: QMatrix) -> list[tuple[Rational, ...]]:
     vector for free column ``f`` has a 1 there, 0 at the other free
     columns, and the unique pivot entries solving ``m @ v = 0``.
     """
-    rows = _span(map(m.row, range(m.rows)), m.cols).reduced_rows()
-    pivots = {-max(row): row for row in rows}
-    # free column -> its (pivot column, entry) pairs; vectors are built
-    # one at a time because a kernel can hold cols^2 entries
-    entries = {f: [] for f in range(m.cols) if f not in pivots}
-    for pc, row in pivots.items():
-        for key, c in row.items():
-            if -key != pc:
-                entries[-key].append((pc, -c))
+    span = _span(map(m.row, range(m.rows)), m.cols)
     basis = []
-    for f, pairs in entries.items():
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for pc, c in pairs:
-            v[pc] = c
-        basis.append(tuple(v))
+    # densified one at a time because a kernel can hold cols^2 entries
+    for v in span.kernel([-c for c in range(m.cols)]):
+        dense = [Fraction(0)] * m.cols
+        for key, c in v.items():
+            dense[-key] = c
+        basis.append(tuple(dense))
     return basis
 
 

@@ -500,10 +500,10 @@ def layers(*dims):
 
 # true layer dimensions: 1, 2, 2, 1
 cases = {
-    "hilbert_start": ("layers", layers(0, 2, 2, 1), ap.hilbert_function),
-    "hilbert_cap": ("layers", layers(1, 3, 2, 1), ap.hilbert_function),
-    "layer_top": ("layers", layers(1, 2, 2, 2), ap.hilbert_function),
-    "layer_growth": ("layers", layers(1, 0, 2, 1), ap.hilbert_function),
+    "hilbert_start": ("_layers", layers(0, 2, 2, 1), ap.hilbert_function),
+    "hilbert_cap": ("_layers", layers(1, 3, 2, 1), ap.hilbert_function),
+    "layer_top": ("_layers", layers(1, 2, 2, 2), ap.hilbert_function),
+    "layer_growth": ("_layers", layers(1, 0, 2, 1), ap.hilbert_function),
     "generators": (
         "apolar_ideal_component",
         lambda V, t: [] if t == V.degree else orig_ideal(V, t),
@@ -511,7 +511,7 @@ cases = {
     ),
 }
 name, patched, fn = cases[sys.argv[1]]
-setattr(ap.LinearSeries if name == "layers" else ap, name, patched)
+setattr(ap.LinearSeries if name == "_layers" else ap, name, patched)
 try:
     fn(W)
 except InvariantError as exc:

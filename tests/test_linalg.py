@@ -180,3 +180,23 @@ def test_span_builder_contains():
     builder.add({1: 1})
     assert builder.contains({0: 3, 1: -5})
     assert not builder.contains({2: 1})
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(), st.randoms(use_true_random=False))
+def test_span_kernel_is_the_orthogonal_complement(rows, rnd):
+    width = len(rows[0])
+    keys = list(range(width))
+    rnd.shuffle(keys)  # the key order only orders the output
+    builder, shuffled = SpanBuilder(), SpanBuilder()
+    for row in rows:
+        builder.add({i: x for i, x in enumerate(row) if x})
+    for row in rnd.sample(rows, len(rows)):
+        shuffled.add({i: x for i, x in enumerate(row) if x})
+    kernel = list(builder.kernel(keys))
+    assert kernel == list(shuffled.kernel(keys))
+    free = [k for k in keys if not any(max(r) == k for r in builder.reduced_rows())]
+    assert len(kernel) == len(free) == width - naive_rank(rows)
+    for f, v in zip(free, kernel):
+        assert v[f] == 1 and all(v.get(g, 0) == 0 for g in free if g != f)
+        assert all(sum(x * v.get(i, 0) for i, x in enumerate(row)) == 0 for row in rows)
