@@ -4,7 +4,8 @@ Everything is exact over the rationals: sparse polynomials, dual forms
 acting by differentiation, graded derivative layers (sparse integer
 spans) and the Hilbert functions, apolar lengths and annihilator pieces
 read off them, and the bound families built on them.  Catalecticant
-matrices remain available on request.
+matrices, with their exact ``rank`` and ``kernel_basis``, remain
+available on request.
 """
 
 from .linalg import (
@@ -12,10 +13,8 @@ from .linalg import (
     QMatrix,
     Rational,
     SpanBuilder,
-    in_span,
     kernel_basis,
     rank,
-    span_dim,
 )
 from .poly import (
     ContextMismatchError,

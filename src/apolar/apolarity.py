@@ -430,7 +430,7 @@ def quotient_length_with_linear(W: LinearSeries, partial: DualForm) -> int:
     """
     if not isinstance(partial, DualForm) or partial.context != W.context:
         raise ContextMismatchError("expected a DualForm over the series context")
-    if partial.is_zero or partial.degree() != 1 or not partial.is_homogeneous():
+    if not partial.is_linear_form():
         raise ValueError("quotient direction must be a nonzero linear dual form")
     ctx = W.context
     n = len(ctx)

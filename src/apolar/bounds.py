@@ -25,7 +25,6 @@ the unknown ranks stays visible.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -147,9 +146,6 @@ class BoundReport:
             "brackets": self.brackets(),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
 
 # ----------------------------------------------------------------------
 # individual bounds
@@ -181,7 +177,7 @@ def derivative_bound(W: LinearSeries, partial: DualForm) -> int:
 def _require_linear_dual(W: LinearSeries, partial: DualForm) -> None:
     if not isinstance(partial, DualForm) or partial.context != W.context:
         raise ContextMismatchError("expected a DualForm over the series context")
-    if partial.is_zero or partial.degree() != 1 or not partial.is_homogeneous():
+    if not partial.is_linear_form():
         raise ValueError("derivative direction must be a nonzero linear dual form")
 
 

@@ -25,6 +25,7 @@ to.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -123,12 +124,6 @@ def _perm_sign(perm: tuple[int, ...]) -> int:
     return -1 if inv % 2 else 1
 
 
-def _permutations(n: int):
-    import itertools
-
-    return itertools.permutations(range(n))
-
-
 def _matrix_polynomial(
     ctx: VarContext, entry_pos, n: int, signed: bool
 ) -> Polynomial:
@@ -139,7 +134,7 @@ def _matrix_polynomial(
     """
     terms: dict[tuple[int, ...], Rational] = {}
     width = len(ctx)
-    for perm in _permutations(n):
+    for perm in itertools.permutations(range(n)):
         mono = [0] * width
         ok = True
         for i, j in enumerate(perm):
@@ -152,11 +147,7 @@ def _matrix_polynomial(
             continue
         sign = _perm_sign(perm) if signed else 1
         key = tuple(mono)
-        c = terms.get(key, Fraction(0)) + sign
-        if c:
-            terms[key] = c
-        else:
-            terms.pop(key, None)
+        terms[key] = terms.get(key, 0) + sign
     return Polynomial(ctx, terms)
 
 
@@ -209,11 +200,7 @@ def pfaffian_on(ctx: VarContext, indices: tuple[int, ...]) -> Polynomial:
         for a, b in pairs:
             mono[ctx.position(f"x[{a},{b}]")] += 1
         key = tuple(mono)
-        c = terms.get(key, Fraction(0)) + sign
-        if c:
-            terms[key] = c
-        else:
-            terms.pop(key, None)
+        terms[key] = terms.get(key, 0) + sign
     return Polynomial(ctx, terms)
 
 
@@ -249,8 +236,6 @@ def build_monomial_product(n: int) -> Polynomial:
 
 
 def build_minors_series(m: int, n: int, d: int) -> list[Polynomial]:
-    import itertools
-
     ctx = grid_context(m, n)
     forms = []
     for rows in itertools.combinations(range(m), d):
@@ -527,8 +512,6 @@ def monomial_decomposition(n: int) -> tuple[list[Polynomial], list[Rational]]:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    import itertools
-
     ctx = monprod_context(n)
     scale = Fraction(1, 2 ** (n - 1) * math.factorial(n))
     forms = []

@@ -63,10 +63,6 @@ def fmt_cell(q: Rational) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _json_document(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
 # ----------------------------------------------------------------------
 # form loading
 
@@ -120,6 +116,16 @@ def _csv_line(cells: list[str]) -> str:
     return ",".join(quoted)
 
 
+def _emit(fmt: str, doc: dict, csv_rows: list[list[str]], text: str) -> str:
+    """A command's output in ``fmt``: ``doc`` as indented sorted-key JSON,
+    ``csv_rows`` as CSV lines, or the markdown ``text`` as it is."""
+    if fmt == "json":
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if fmt == "csv":
+        return "\n".join(_csv_line(r) for r in csv_rows) + "\n"
+    return text
+
+
 def render_table(doc: TableDoc, fmt: str, checks: dict[int, dict[str, str]] | None) -> str:
     def cell(label: str, n: int, value) -> str:
         text = fmt_cell(value)
@@ -132,41 +138,28 @@ def render_table(doc: TableDoc, fmt: str, checks: dict[int, dict[str, str]] | No
         [row.label] + [cell(row.label, n, v) for n, v in zip(doc.ns, row.values)]
         for row in doc.rows
     ]
-    if fmt == "markdown":
-        return _markdown_table(header, body)
-    if fmt == "csv":
-        return "\n".join(_csv_line(r) for r in [header] + body) + "\n"
     obj = {
         "family": doc.family,
         "n": list(doc.ns),
         "rows": [
-            {
-                "label": row.label,
-                "kind": row.kind,
-                "values": [cell(row.label, n, v) for n, v in zip(doc.ns, row.values)],
-            }
-            for row in doc.rows
+            {"label": row.label, "kind": row.kind, "values": cells[1:]}
+            for row, cells in zip(doc.rows, body)
         ],
     }
-    return _json_document(obj)
+    return _emit(fmt, obj, [header] + body, _markdown_table(header, body))
 
 
 def render_bounds(report, fmt: str) -> str:
-    if fmt == "json":
-        return report.to_json() + "\n"
-    if fmt == "csv":
-        header = ["name", "value_num", "value_den", "integer_value", "kind"]
-        rows = [
-            [
-                b.name,
-                str(b.value.numerator),
-                str(b.value.denominator),
-                str(b.integer_value),
-                b.kind,
-            ]
-            for b in report.bounds
+    rows = [["name", "value_num", "value_den", "integer_value", "kind"]] + [
+        [
+            b.name,
+            str(b.value.numerator),
+            str(b.value.denominator),
+            str(b.integer_value),
+            b.kind,
         ]
-        return "\n".join(_csv_line(r) for r in [header] + rows) + "\n"
+        for b in report.bounds
+    ]
     lines = [f"# bounds: {report.form_id}", ""]
     body = [
         [b.name, fmt_cell(b.value), str(b.integer_value), b.kind]
@@ -204,64 +197,45 @@ def render_bounds(report, fmt: str) -> str:
         lines.append("")
         lines.append("notes:")
         lines.extend(notes)
-    return "\n".join(lines) + "\n"
+    return _emit(fmt, report.to_dict(), rows, "\n".join(lines) + "\n")
 
 
 def render_hilbert(form_id: str, dims: list[int], fmt: str) -> str:
     total = sum(dims)
-    if fmt == "json":
-        return _json_document(
-            {
-                "form_id": form_id,
-                "dims": dims,
-                "degree": len(dims) - 1,
-                "apolar_length": total,
-            }
-        )
-    if fmt == "csv":
-        rows = [["t", "dim"]] + [[str(t), str(v)] for t, v in enumerate(dims)]
-        return "\n".join(_csv_line(r) for r in rows) + "\n"
-    return (
+    doc = {
+        "form_id": form_id,
+        "dims": dims,
+        "degree": len(dims) - 1,
+        "apolar_length": total,
+    }
+    rows = [["t", "dim"]] + [[str(t), str(v)] for t, v in enumerate(dims)]
+    text = (
         f"Hilbert function of {form_id}: [{', '.join(str(v) for v in dims)}]\n"
         f"degree: {len(dims) - 1}\n"
         f"apolar length: {total}\n"
     )
+    return _emit(fmt, doc, rows, text)
 
 
 def render_generators(form_id: str, gens: dict, delta: int, fmt: str) -> str:
-    if fmt == "json":
-        return _json_document(
-            {
-                "form_id": form_id,
-                "delta": delta,
-                "generators": [
-                    {
-                        "degree": t,
-                        "count": len(gs),
-                        "generators": [format_polynomial(g) for g in gs],
-                    }
-                    for t, gs in sorted(gens.items())
-                ],
-            }
-        )
-    if fmt == "csv":
-        rows = [["degree", "count", "generators"]]
-        for t, gs in sorted(gens.items()):
-            rows.append(
-                [str(t), str(len(gs)), "; ".join(format_polynomial(g) for g in gs)]
-            )
-        return "\n".join(_csv_line(r) for r in rows) + "\n"
-    lines = [f"# annihilator generators: {form_id}", ""]
-    body = [
-        [str(t), str(len(gs)), "; ".join(format_polynomial(g) for g in gs)]
-        for t, gs in sorted(gens.items())
+    blocks = [
+        (t, [format_polynomial(g) for g in gs]) for t, gs in sorted(gens.items())
     ]
-    lines.append(
-        _markdown_table(["degree", "count", "generators"], body).rstrip()
-    )
+    doc = {
+        "form_id": form_id,
+        "delta": delta,
+        "generators": [
+            {"degree": t, "count": len(texts), "generators": texts}
+            for t, texts in blocks
+        ],
+    }
+    header = ["degree", "count", "generators"]
+    body = [[str(t), str(len(texts)), "; ".join(texts)] for t, texts in blocks]
+    lines = [f"# annihilator generators: {form_id}", ""]
+    lines.append(_markdown_table(header, body).rstrip())
     lines.append("")
     lines.append(f"delta: {delta}")
-    return "\n".join(lines) + "\n"
+    return _emit(fmt, doc, [header] + body, "\n".join(lines) + "\n")
 
 
 # ----------------------------------------------------------------------
@@ -278,9 +252,7 @@ def cmd_bounds(args) -> str:
             partial = parse_dual_form(args.partial, W.context)
         except ParseError as exc:
             raise CliError(f"error: --partial: {exc}", 1) from exc
-        if partial.is_zero:
-            raise CliError("error: --partial must be a nonzero linear dual form", 2)
-        if partial.degree() != 1 or not partial.is_homogeneous():
+        if not partial.is_linear_form():
             raise CliError("error: --partial must be a nonzero linear dual form", 2)
     assertion = InvarianceAssertion(
         args.assert_invariance, args.invariance_note or ""
@@ -365,15 +337,11 @@ def cmd_verify_decomposition(args) -> str:
             raise CliError(
                 f"error: {args.file}:{lineno}: bad coefficient {coeff_text!r}", 1
             ) from None
-        if coeff.denominator < 1:
-            raise CliError(
-                f"error: {args.file}:{lineno}: bad coefficient {coeff_text!r}", 1
-            )
         try:
             form = parse_polynomial_list([form_text], W.context)[0]
         except ParseError as exc:
             raise CliError(f"error: {args.file}:{lineno}: {exc}", 1) from exc
-        if form.is_zero or form.degree() != 1 or not form.is_homogeneous():
+        if not form.is_linear_form():
             raise CliError(
                 f"error: {args.file}:{lineno}: {form_text.strip()!r} is not a "
                 "nonzero linear form",
@@ -384,28 +352,18 @@ def cmd_verify_decomposition(args) -> str:
     if not forms:
         raise CliError(f"error: {args.file}: no summands found", 1)
     total = evaluate_decomposition(forms, coeffs, W.degree)
-    matched = total == target
-    if args.format == "json":
-        return _json_document(
-            {
-                "form_id": form_id,
-                "status": "pass" if matched else "fail",
-                "summands": len(forms),
-            }
+    status = "pass" if total == target else "fail"
+    text = f"{status} ({len(forms)} summands)"
+    if status == "fail":
+        text += (
+            ": decomposition differs from the target, "
+            f"difference has {len((total - target).terms)} terms"
         )
-    if args.format == "csv":
-        return "\n".join(
-            [
-                _csv_line(["status", "summands"]),
-                _csv_line(["pass" if matched else "fail", str(len(forms))]),
-            ]
-        ) + "\n"
-    if matched:
-        return f"pass ({len(forms)} summands)\n"
-    diff = total - target
-    return (
-        f"fail ({len(forms)} summands): decomposition differs from the target, "
-        f"difference has {len(diff.terms)} terms\n"
+    return _emit(
+        args.format,
+        {"form_id": form_id, "status": status, "summands": len(forms)},
+        [["status", "summands"], [status, str(len(forms))]],
+        text + "\n",
     )
 
 
@@ -414,27 +372,18 @@ def cmd_matmul(args) -> str:
         rw, tensor = catalog.matmul_bound(args.p, args.q, args.r)
     except ValueError as exc:
         raise CliError(f"error: {exc}", 2) from exc
-    if args.format == "json":
-        return _json_document(
-            {
-                "p": args.p,
-                "q": args.q,
-                "r": args.r,
-                "rW_lower": rw,
-                "tensor_lower": tensor,
-            }
-        )
-    if args.format == "csv":
-        return "\n".join(
-            [
-                _csv_line(["p", "q", "r", "rW_lower", "tensor_lower"]),
-                _csv_line([str(args.p), str(args.q), str(args.r), str(rw), str(tensor)]),
-            ]
-        ) + "\n"
-    return (
+    doc = {
+        "p": args.p,
+        "q": args.q,
+        "r": args.r,
+        "rW_lower": rw,
+        "tensor_lower": tensor,
+    }
+    text = (
         f"matmul({args.p},{args.q},{args.r}): r(W) >= {rw}, "
         f"tensor rank >= {tensor}\n"
     )
+    return _emit(args.format, doc, [list(doc), [str(v) for v in doc.values()]], text)
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,11 @@ is the orthogonal complement of one (:meth:`SpanBuilder.kernel`, read
 off the reduced echelon form), and every derivative closure or
 generator count is the dimension of a growing span.  All of them run
 through one eliminator, :class:`SpanBuilder`, so nothing is rounded and
-elimination happens in one place; :func:`rank` and :func:`kernel_basis`
-serve dense matrices with the same engine.
+elimination happens in one place.
+
+The dense side is only an adapter for callers of the public
+``catalecticant_matrix``: :class:`QMatrix` holds such a matrix, and
+:func:`rank` and :func:`kernel_basis` feed its rows to the same engine.
 
 Row form: a vector is a sparse map from orderable keys to rationals.
 Its denominators are cleared on entry, and every stored row is a
@@ -37,7 +40,7 @@ Rational = Fraction
 
 
 class DimensionMismatchError(ValueError):
-    """Vectors of unequal length were combined."""
+    """The rows given for one matrix have unequal lengths."""
 
 
 @dataclass(frozen=True)
@@ -66,33 +69,8 @@ class QMatrix:
                 raise DimensionMismatchError("rows have unequal lengths")
         return cls(nrows, ncols, tuple(data))
 
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        ent = [Fraction(0)] * (n * n)
-        for i in range(n):
-            ent[i * n + i] = Fraction(1)
-        return cls(n, n, tuple(ent))
-
-    def at(self, i: int, j: int) -> Rational:
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> tuple[Rational, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def transpose(self) -> "QMatrix":
-        ent = [self.at(i, j) for j in range(self.cols) for i in range(self.rows)]
-        return QMatrix(self.cols, self.rows, tuple(ent))
-
-    def mul_vec(self, v: Sequence[int | Rational]) -> tuple[Rational, ...]:
-        if len(v) != self.cols:
-            raise DimensionMismatchError(
-                f"vector of length {len(v)} against {self.cols} columns"
-            )
-        vv = [Fraction(x) for x in v]
-        return tuple(
-            sum((self.at(i, j) * vv[j] for j in range(self.cols)), Fraction(0))
-            for i in range(self.rows)
-        )
 
 
 def _eliminate(v: dict, a: int, lead: int, tail: dict) -> tuple[dict, int]:
@@ -132,10 +110,13 @@ class SpanBuilder:
     def dim(self) -> int:
         return len(self._rows)
 
-    def _residue(self, vec: Mapping) -> dict:
-        """``vec`` with denominators cleared, eliminated against the stored
-        rows until its largest key is not a pivot (lower keys may remain
-        unreduced); empty iff ``vec`` lies in the span."""
+    def add(self, vec: Mapping) -> bool:
+        """Insert ``vec``; returns True iff it enlarged the span.
+
+        ``vec`` has its denominators cleared and is eliminated against
+        the stored rows until its largest key is not a pivot (lower keys
+        may remain unreduced); nothing is left iff it lay in the span.
+        """
         v = {k: c for k, c in vec.items() if c}
         scale = math.lcm(*(c.denominator for c in v.values()))
         v = {k: c.numerator * (scale // c.denominator) for k, c in v.items()}
@@ -146,23 +127,14 @@ class SpanBuilder:
             if stored is None:
                 break
             v, _ = _eliminate(v, v.pop(p), *stored)
-        return v
-
-    def add(self, vec: Mapping) -> bool:
-        """Insert ``vec``; returns True iff it enlarged the span."""
-        v = self._residue(vec)
         if not v:
             return False
-        p = max(v)
         g = math.gcd(*v.values())
         if v[p] < 0:
             g = -g
         lead = v.pop(p) // g
         self._rows[p] = (lead, {k: c // g for k, c in v.items()})
         return True
-
-    def contains(self, vec: Mapping) -> bool:
-        return not self._residue(vec)
 
     def rows(self) -> Iterator[dict]:
         """The stored primitive integer rows, pivot term first, in the
@@ -219,19 +191,17 @@ class SpanBuilder:
             yield {**dict(pairs), k: Fraction(1)}
 
 
-def _span(rows: Iterable[Sequence[int | Rational]], width: int) -> SpanBuilder:
-    """Builder over dense rows of length ``width``, column ``c`` keyed as ``-c``."""
+def _span(m: QMatrix) -> SpanBuilder:
+    """Builder over the rows of ``m``, column ``c`` keyed as ``-c``."""
     span = SpanBuilder()
-    for row in rows:
-        if len(row) != width:
-            raise DimensionMismatchError("vectors have unequal lengths")
-        span.add({-c: x for c, x in enumerate(row) if x})
+    for i in range(m.rows):
+        span.add({-c: x for c, x in enumerate(m.row(i)) if x})
     return span
 
 
 def rank(m: QMatrix) -> int:
     """Exact rank over the rationals."""
-    return _span(map(m.row, range(m.rows)), m.cols).dim
+    return _span(m).dim
 
 
 def kernel_basis(m: QMatrix) -> list[tuple[Rational, ...]]:
@@ -241,7 +211,7 @@ def kernel_basis(m: QMatrix) -> list[tuple[Rational, ...]]:
     vector for free column ``f`` has a 1 there, 0 at the other free
     columns, and the unique pivot entries solving ``m @ v = 0``.
     """
-    span = _span(map(m.row, range(m.rows)), m.cols)
+    span = _span(m)
     basis = []
     # densified one at a time because a kernel can hold cols^2 entries
     for v in span.kernel([-c for c in range(m.cols)]):
@@ -251,13 +221,3 @@ def kernel_basis(m: QMatrix) -> list[tuple[Rational, ...]]:
         basis.append(tuple(dense))
     return basis
 
-
-def span_dim(vectors: Sequence[Sequence[int | Rational]]) -> int:
-    """Dimension of the linear span of the given vectors."""
-    vectors = list(vectors)
-    return _span(vectors, len(vectors[0]) if vectors else 0).dim
-
-
-def in_span(v: Sequence[int | Rational], basis: Sequence[Sequence[int | Rational]]) -> bool:
-    """True iff ``v`` lies in the span of ``basis``."""
-    return _span(basis, len(v)).contains({-c: x for c, x in enumerate(v) if x})

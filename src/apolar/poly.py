@@ -172,6 +172,10 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         return len({sum(m) for m in self.terms}) <= 1
 
+    def is_linear_form(self) -> bool:
+        """Nonzero and homogeneous of degree 1."""
+        return not self.is_zero and self.degree() == 1 and self.is_homogeneous()
+
     def homogeneous_degree(self) -> int:
         degs = {sum(m) for m in self.terms}
         if len(degs) != 1:
@@ -196,11 +200,7 @@ class Polynomial:
         self._check_compatible(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            nc = out.get(m, Fraction(0)) + c
-            if nc:
-                out[m] = nc
-            else:
-                out.pop(m, None)
+            out[m] = out.get(m, 0) + c
         return type(self)(self.context, out)
 
     def __neg__(self) -> "Polynomial":
@@ -223,11 +223,7 @@ class Polynomial:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
-                nc = out.get(m, Fraction(0)) + c1 * c2
-                if nc:
-                    out[m] = nc
-                else:
-                    out.pop(m, None)
+                out[m] = out.get(m, 0) + c1 * c2
         return type(self)(self.context, out)
 
     def __rmul__(self, other):
@@ -249,16 +245,12 @@ class Polynomial:
 
     def partial(self, pos: int) -> "Polynomial":
         """Derivative with respect to the variable at ``pos``."""
+        # m -> m - e_pos is injective, so no two terms meet
         out: dict[Monomial, Rational] = {}
         for m, c in self.terms.items():
             e = m[pos]
             if e:
-                target = m[:pos] + (e - 1,) + m[pos + 1 :]
-                nc = out.get(target, Fraction(0)) + c * e
-                if nc:
-                    out[target] = nc
-                else:
-                    out.pop(target, None)
+                out[m[:pos] + (e - 1,) + m[pos + 1 :]] = c * e
         return type(self)(self.context, out)
 
     def __str__(self) -> str:
@@ -298,11 +290,7 @@ def apply_operator(op: DualForm, f: Polynomial) -> Polynomial:
             if not factor:
                 continue
             target = tuple(a - b for a, b in zip(mf, me))
-            nc = out.get(target, Fraction(0)) + ce * cf * factor
-            if nc:
-                out[target] = nc
-            else:
-                out.pop(target, None)
+            out[target] = out.get(target, 0) + ce * cf * factor
     return Polynomial(f.context, out)
 
 
@@ -326,11 +314,7 @@ def substitute(f: Polynomial, pos: int, replacement: Polynomial) -> Polynomial:
         rest = m[:pos] + (0,) + m[pos + 1 :]
         for mp, cp in power(m[pos]).terms.items():
             target = tuple(a + b for a, b in zip(rest, mp))
-            nc = out.get(target, Fraction(0)) + c * cp
-            if nc:
-                out[target] = nc
-            else:
-                del out[target]
+            out[target] = out.get(target, 0) + c * cp
     return Polynomial(f.context, out)
 
 
@@ -341,7 +325,7 @@ def dehomogenize(f: Polynomial, l: Polynomial) -> Polynomial:
     the remaining coordinates are kept, so ``l`` is completed to a basis
     by unit vectors.  The result generally mixes degrees.
     """
-    if not isinstance(l, Polynomial) or l.is_zero or l.degree() != 1 or not l.is_homogeneous():
+    if not isinstance(l, Polynomial) or not l.is_linear_form():
         raise PolyError("dehomogenization direction must be a nonzero linear form")
     if l.context != f.context:
         raise ContextMismatchError("form and direction contexts differ")
@@ -360,7 +344,7 @@ def dehomogenize(f: Polynomial, l: Polynomial) -> Polynomial:
 
 def homogenize(f: Polynomial, l: Polynomial, degree: int) -> Polynomial:
     """Inverse of :func:`dehomogenize`: pad each term with powers of ``l``."""
-    if not isinstance(l, Polynomial) or l.is_zero or l.degree() != 1 or not l.is_homogeneous():
+    if not isinstance(l, Polynomial) or not l.is_linear_form():
         raise PolyError("homogenization direction must be a nonzero linear form")
     if f.degree() > degree:
         raise PolyError("target degree is below the degree of the polynomial")
@@ -387,7 +371,7 @@ def evaluate_decomposition(
     ctx = linear_forms[0].context
     out = Polynomial.zero(ctx)
     for l, c in zip(linear_forms, coeffs):
-        if l.is_zero or l.degree() != 1 or not l.is_homogeneous():
+        if not l.is_linear_form():
             raise PolyError(f"summand {format_polynomial(l)!r} is not a linear form")
         out = out + (l**d).scale(c)
     return out
@@ -661,21 +645,14 @@ def _assemble(
         for name, exp in factors:
             mono[context.position(name)] += exp
         key = tuple(mono)
-        nc = terms.get(key, Fraction(0)) + coeff
-        if nc:
-            terms[key] = nc
-        else:
-            terms.pop(key, None)
+        terms[key] = terms.get(key, 0) + coeff
     return cls(context, terms)
 
 
 def parse_polynomial(text: str, context: VarContext | None = None) -> Polynomial:
     """Parse polynomial text; the context is inferred (variables ordered
     by first appearance) when not supplied."""
-    parser = _Parser(text, dual=False, context=context)
-    raw = parser.parse_terms()
-    ctx = context if context is not None else VarContext(tuple(parser.seen))
-    return _assemble(Polynomial, raw, ctx)
+    return parse_polynomial_list([text], context)[0]
 
 
 def parse_polynomial_list(

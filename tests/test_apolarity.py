@@ -23,7 +23,6 @@ from apolar import (
     diff_closure_dim,
     differentiate_series,
     hilbert_function,
-    in_span,
     minimal_generator_degrees,
     minimal_generators,
     monomial_basis,
@@ -31,10 +30,9 @@ from apolar import (
     parse_polynomial,
     quotient_length_with_linear,
     rank,
-    span_dim,
 )
 from apolar.catalog import build, build_determinant, parse_family
-from oracles import brute_hilbert, coefficient_vector, naive_rank
+from oracles import brute_hilbert, coefficient_vector, naive_rank, naive_span_dim
 
 XY = VarContext.of("x", "y")
 
@@ -59,7 +57,7 @@ def spans_match(duals_a, duals_b, ctx, t):
         return True
     if len(va) != len(vb):
         return False
-    return span_dim(va) == span_dim(vb) == span_dim(va + vb)
+    return naive_span_dim(va) == naive_span_dim(vb) == naive_span_dim(va + vb)
 
 
 # ----------------------------------------------------------------------
@@ -90,7 +88,7 @@ def test_catalecticant_one_variable_square():
     ctx = VarContext.of("x")
     m = catalecticant_matrix(series("x^2", ctx), 1)
     assert (m.rows, m.cols) == (1, 1)
-    assert m.at(0, 0) == 2
+    assert m.row(0)[0] == 2
 
 
 def test_catalecticant_rank_det2():
@@ -189,7 +187,9 @@ def test_ideal_component_det2_contains_named_quadrics():
     basis_vectors = dual_vectors(comp, ctx, 2)
     for text in ("d[1,1]^2", "d[1,1]*d[1,2]", "d[1,1]*d[2,2] + d[1,2]*d[2,1]"):
         g = parse_dual_form(text, ctx)
-        assert in_span(coefficient_vector(g, monos), basis_vectors)
+        assert naive_rank(basis_vectors + [coefficient_vector(g, monos)]) == naive_rank(
+            basis_vectors
+        )
 
 
 def test_ideal_component_above_degree_is_everything():

@@ -28,6 +28,7 @@ from apolar import (
 )
 from apolar.bounds import BoundEntry, KIND_LOWER_CACTUS, KIND_UPPER_CACTUS
 from apolar.catalog import build, build_determinant, parse_family
+from apolar.cli import render_bounds
 
 XY = VarContext.of("x", "y")
 
@@ -306,9 +307,10 @@ def test_report_json_round_trip():
         partial=parse_dual_form("d[2,2]", W.context),
         assertion=InvarianceAssertion(True),
     )
-    text = report.to_json()
-    assert json.dumps(json.loads(text), indent=2, sort_keys=True) == text
+    text = render_bounds(report, "json")
+    assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text
     doc = json.loads(text)
+    assert doc == report.to_dict()
     rs = next(b for b in doc["bounds"] if b["name"] == "ranestad_schreyer")
     assert (rs["value_num"], rs["value_den"], rs["integer_value"]) == (5, 2, 3)
 

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from apolar.cli import fmt_cell, main
 from fractions import Fraction
 
@@ -416,3 +418,344 @@ def test_hilbert_of_linear_form_in_many_variables(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "hilbert", "--form", str(form))
     assert code == 0
     assert "[1, 1]" in out
+
+
+# ----------------------------------------------------------------------
+# golden output: each command in each format, byte for byte
+
+
+GOLDEN = {
+    ("hilbert", "--form", "builtin:det:2"): {
+        "markdown": """\
+Hilbert function of builtin:det:2: [1, 4, 1]
+degree: 2
+apolar length: 6
+""",
+        "csv": """\
+t,dim
+0,1
+1,4
+2,1
+""",
+        "json": """\
+{
+  "apolar_length": 6,
+  "degree": 2,
+  "dims": [
+    1,
+    4,
+    1
+  ],
+  "form_id": "builtin:det:2"
+}
+""",
+    },
+    ("apolar-gens", "--form", "builtin:det:2"): {
+        "markdown": """\
+# annihilator generators: builtin:det:2
+
+| degree | count | generators |
+| --- | ---: | ---: |
+| 2 | 9 | d[1,1]^2; d[1,1]*d[1,2]; d[1,1]*d[2,1]; d[1,2]^2; d[1,1]*d[2,2] + d[1,2]*d[2,1]; d[1,2]*d[2,2]; d[2,1]^2; d[2,1]*d[2,2]; d[2,2]^2 |
+
+delta: 2
+""",
+        "csv": """\
+degree,count,generators
+2,9,"d[1,1]^2; d[1,1]*d[1,2]; d[1,1]*d[2,1]; d[1,2]^2; d[1,1]*d[2,2] + d[1,2]*d[2,1]; d[1,2]*d[2,2]; d[2,1]^2; d[2,1]*d[2,2]; d[2,2]^2"
+""",
+        "json": """\
+{
+  "delta": 2,
+  "form_id": "builtin:det:2",
+  "generators": [
+    {
+      "count": 9,
+      "degree": 2,
+      "generators": [
+        "d[1,1]^2",
+        "d[1,1]*d[1,2]",
+        "d[1,1]*d[2,1]",
+        "d[1,2]^2",
+        "d[1,1]*d[2,2] + d[1,2]*d[2,1]",
+        "d[1,2]*d[2,2]",
+        "d[2,1]^2",
+        "d[2,1]*d[2,2]",
+        "d[2,2]^2"
+      ]
+    }
+  ]
+}
+""",
+    },
+    ("apolar-gens", "--form", "builtin:monprod:2", "--max-degree", "1"): {
+        "markdown": """\
+# annihilator generators: builtin:monprod:2
+
+| degree | count | generators |
+| --- | ---: | ---: |
+
+delta: 2
+""",
+        "csv": """\
+degree,count,generators
+""",
+        "json": """\
+{
+  "delta": 2,
+  "form_id": "builtin:monprod:2",
+  "generators": []
+}
+""",
+    },
+    ("verify-decomposition", "--form", "builtin:monprod:3", "--file", "pass.dec"): {
+        "markdown": """\
+pass (4 summands)
+""",
+        "csv": """\
+status,summands
+pass,4
+""",
+        "json": """\
+{
+  "form_id": "builtin:monprod:3",
+  "status": "pass",
+  "summands": 4
+}
+""",
+    },
+    ("verify-decomposition", "--form", "builtin:monprod:3", "--file", "fail.dec"): {
+        "markdown": """\
+fail (1 summands): decomposition differs from the target, difference has 10 terms
+""",
+        "csv": """\
+status,summands
+fail,1
+""",
+        "json": """\
+{
+  "form_id": "builtin:monprod:3",
+  "status": "fail",
+  "summands": 1
+}
+""",
+    },
+    ("matmul", "--p", "2", "--q", "2", "--r", "2"): {
+        "markdown": """\
+matmul(2,2,2): r(W) >= 9, tensor rank >= 5
+""",
+        "csv": """\
+p,q,r,rW_lower,tensor_lower
+2,2,2,9,5
+""",
+        "json": """\
+{
+  "p": 2,
+  "q": 2,
+  "r": 2,
+  "rW_lower": 9,
+  "tensor_lower": 5
+}
+""",
+    },
+    ("bounds", "--form", "builtin:det:2", "--seed", "0"): {
+        "markdown": """\
+# bounds: builtin:det:2
+
+| name | value | ceiling | kind |
+| --- | ---: | ---: | ---: |
+| sylvester | 4 | 4 | lower-for-cactus |
+| ranestad_schreyer | 3 | 3 | lower-for-cactus |
+| generic_derivative | 4 | 4 | lower-for-cactus |
+| landsberg_teitler_det | 4 | 4 | lower-for-waring |
+| bernardi_ranestad_upper | 4 | 4 | upper-for-cactus |
+
+brackets: cactus rank in [4, 4], smoothable rank in [4, ?], Waring rank in [4, ?]
+
+notes:
+- generic_derivative: caveat = probabilistic: each sampled direction is generic with probability 1
+- generic_derivative: trials = 5, seed = 0, values = [4, 4, 4, 4, 4]
+- bernardi_ranestad_upper: dehomogenized_at = x[2,2]
+""",
+        "csv": """\
+name,value_num,value_den,integer_value,kind
+sylvester,4,1,4,lower-for-cactus
+ranestad_schreyer,3,1,3,lower-for-cactus
+generic_derivative,4,1,4,lower-for-cactus
+landsberg_teitler_det,4,1,4,lower-for-waring
+bernardi_ranestad_upper,4,1,4,upper-for-cactus
+""",
+        "json": """\
+{
+  "bounds": [
+    {
+      "integer_value": 4,
+      "kind": "lower-for-cactus",
+      "metadata": {
+        "argmax_degree": 1,
+        "hilbert": [
+          1,
+          4,
+          1
+        ]
+      },
+      "name": "sylvester",
+      "value_den": 1,
+      "value_num": 4
+    },
+    {
+      "integer_value": 3,
+      "kind": "lower-for-cactus",
+      "metadata": {
+        "apolar_length": 6,
+        "delta": 2
+      },
+      "name": "ranestad_schreyer",
+      "value_den": 1,
+      "value_num": 3
+    },
+    {
+      "integer_value": 4,
+      "kind": "lower-for-cactus",
+      "metadata": {
+        "caveat": "probabilistic: each sampled direction is generic with probability 1",
+        "partials": [
+          "-d[1,1] + 95*d[1,2] + 8*d[2,1] - 89*d[2,2]",
+          "-33*d[1,1] + 31*d[1,2] + 25*d[2,1] + 4*d[2,2]",
+          "-22*d[1,1] + 23*d[1,2] - 8*d[2,1] + 50*d[2,2]",
+          "-44*d[1,1] + 30*d[1,2] - 64*d[2,1] - 27*d[2,2]",
+          "-64*d[1,1] + 94*d[1,2] - 75*d[2,1] + 59*d[2,2]"
+        ],
+        "seed": 0,
+        "trial_values": [
+          4,
+          4,
+          4,
+          4,
+          4
+        ],
+        "trials": 5
+      },
+      "name": "generic_derivative",
+      "value_den": 1,
+      "value_num": 4
+    },
+    {
+      "integer_value": 4,
+      "kind": "lower-for-waring",
+      "metadata": {
+        "n": 2
+      },
+      "name": "landsberg_teitler_det",
+      "value_den": 1,
+      "value_num": 4
+    },
+    {
+      "integer_value": 4,
+      "kind": "upper-for-cactus",
+      "metadata": {
+        "dehomogenized_at": "x[2,2]"
+      },
+      "name": "bernardi_ranestad_upper",
+      "value_den": 1,
+      "value_num": 4
+    }
+  ],
+  "brackets": {
+    "cactus_rank": {
+      "lower": 4,
+      "upper": 4
+    },
+    "smoothable_rank": {
+      "lower": 4,
+      "upper": null
+    },
+    "waring_rank": {
+      "lower": 4,
+      "upper": null
+    }
+  },
+  "form_id": "builtin:det:2"
+}
+""",
+    },
+    ("table", "pf", "--n-max", "3", "--mode", "verify"): {
+        "markdown": """\
+| n | 2 | 3 |
+| --- | ---: | ---: |
+| Sylvester | 6 (ok) | 15 (ok) |
+| Ranestad-Schreyer-Shafiei | 4 (ok) | 16 (ok) |
+| Invariant derivative | 6 (ok) | 24 (ok) |
+| Upper bound for cactus rank | 8 (ok) | 32 (ok) |
+| Upper bound for Waring rank | 6 (ok) | 60 (ok) |
+""",
+        "csv": """\
+n,2,3
+Sylvester,6 (ok),15 (ok)
+Ranestad-Schreyer-Shafiei,4 (ok),16 (ok)
+Invariant derivative,6 (ok),24 (ok)
+Upper bound for cactus rank,8 (ok),32 (ok)
+Upper bound for Waring rank,6 (ok),60 (ok)
+""",
+        "json": """\
+{
+  "family": "pf",
+  "n": [
+    2,
+    3
+  ],
+  "rows": [
+    {
+      "kind": "lower-for-cactus",
+      "label": "Sylvester",
+      "values": [
+        "6 (ok)",
+        "15 (ok)"
+      ]
+    },
+    {
+      "kind": "lower-for-cactus",
+      "label": "Ranestad-Schreyer-Shafiei",
+      "values": [
+        "4 (ok)",
+        "16 (ok)"
+      ]
+    },
+    {
+      "kind": "lower-for-cactus",
+      "label": "Invariant derivative",
+      "values": [
+        "6 (ok)",
+        "24 (ok)"
+      ]
+    },
+    {
+      "kind": "upper-for-cactus",
+      "label": "Upper bound for cactus rank",
+      "values": [
+        "8 (ok)",
+        "32 (ok)"
+      ]
+    },
+    {
+      "kind": "upper-for-waring",
+      "label": "Upper bound for Waring rank",
+      "values": [
+        "6 (ok)",
+        "60 (ok)"
+      ]
+    }
+  ]
+}
+""",
+    },
+}
+
+
+@pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
+def test_golden_output(tmp_path, monkeypatch, capsys, argv, fmt):
+    (tmp_path / "pass.dec").write_text(INTRO_DEC_3, encoding="utf-8")
+    (tmp_path / "fail.dec").write_text("1 ; x[1] + x[2] + x[3]\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, *argv, "--format", fmt) == (0, GOLDEN[argv][fmt], "")

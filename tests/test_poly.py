@@ -143,6 +143,24 @@ def test_scale_and_neg():
     assert -f == p("y - x", XY)
 
 
+def test_cancelled_terms_are_dropped():
+    # every sum that cancels leaves no zero coefficient behind
+    x, y = p("x", XY), p("y", XY)
+    assert (x + y + (-x)).terms == {(0, 1): 1}
+    assert ((x + y) * (x - y)).terms == {(2, 0): 1, (0, 2): -1}
+    assert p("x*y - y*x + x", XY).terms == {(1, 0): 1}
+    op = parse_dual_form("d_x - d_y", XY)
+    assert apply_operator(op, p("x*y + 1/2*x^2", XY)).terms == {(0, 1): 1}
+    assert substitute(p("x*y + y^2", XY), 0, -y).terms == {}
+
+
+def test_is_linear_form():
+    assert p("2*x - y", XY).is_linear_form()
+    assert parse_dual_form("d_x", XY).is_linear_form()
+    for text in ("0", "3", "x*y", "x + y^2", "x + 1"):
+        assert not p(text, XY).is_linear_form()
+
+
 def test_context_mismatch_raises():
     with pytest.raises(ContextMismatchError):
         p("x", XY) + p("x", XYZ)
