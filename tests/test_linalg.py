@@ -131,9 +131,26 @@ def test_span_builder_matches_dense_span():
         assert builder.dim == naive_rank(vecs)
 
 
-def test_span_builder_add_reports_membership():
+def in_span(vec, vecs):
+    """Whether ``vec`` lies in the span of ``vecs``, read off SpanBuilder.add."""
     builder = SpanBuilder()
-    assert not builder.add({}) and not builder.add({0: 0})
+    for v in vecs:
+        builder.add(dict(enumerate(v)))
+    return not builder.add(dict(enumerate(vec)))
+
+
+def test_in_span_zero_vector():
+    assert in_span([0, 0], [[1, 2]])
+    assert in_span([0, 0], [])
+    assert not SpanBuilder().add({})
+
+
+def test_in_span_negative_case():
+    assert not in_span([1, 1], [[1, 0]])
+
+
+def test_span_builder_contains():
+    builder = SpanBuilder()
     assert builder.add({0: 1, 1: 2}) and builder.add({1: Fraction(1, 3)})
     assert not builder.add({0: 3, 1: -5})
     assert not builder.add({0: Fraction(-1, 2), 1: 0})
