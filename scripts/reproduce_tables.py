@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Emit the three reference bound tables (markdown).
 
-With --verify, the n <= 3 columns are additionally recomputed from
+With --verify, the n <= 4 columns are additionally recomputed from
 polynomial arithmetic and each checked cell is marked (ok)/(MISMATCH).
 """
 

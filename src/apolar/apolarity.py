@@ -18,7 +18,11 @@ directly.  Everything is read off the layers:
   the kernel of the ``h(t) x dim S_t`` matrix whose rows are
   ``{alpha: alpha! * g_alpha}`` for the rows g of A_t;
 * colon pieces and quotient lengths pair dual forms against the same
-  layers.
+  layers;
+* minimal generator counts come from two adjacent layers: degree t has
+  ``dim P_t - h(t)`` new generators, where the prolongation
+  ``P_t = {g : d_i g in A_{t-1} for all i}`` is the kernel of a map on
+  ``n * h(t-1)`` unknowns (see :func:`minimal_generator_degrees`).
 
 So the work grows with the Hilbert function h(t), not with
 ``dim S_t = C(n+t-1, t)``, except where an answer itself holds one
@@ -138,17 +142,23 @@ class LinearSeries:
         return tuple(reversed(layers))
 
 
-def _partials(row, n: int):
-    """The nonzero first partials of a sparse row ``{exponents: coeff}``.
+def _partial(row, i: int) -> dict:
+    """d/dx_i of a sparse row ``{exponents: coeff}``.
 
-    ``m -> m - e_i`` is injective, so no two terms of one partial meet
-    and none cancels."""
+    ``m -> m - e_i`` is injective, so no two terms meet and none
+    cancels."""
+    out = {}
+    for m, c in row.items():
+        e = m[i]
+        if e:
+            out[m[:i] + (e - 1,) + m[i + 1 :]] = c * e
+    return out
+
+
+def _partials(row, n: int):
+    """The nonzero first partials of a sparse row."""
     for i in range(n):
-        out = {}
-        for m, c in row.items():
-            e = m[i]
-            if e:
-                out[m[:i] + (e - 1,) + m[i + 1 :]] = c * e
+        out = _partial(row, i)
         if out:
             yield out
 
@@ -313,37 +323,54 @@ class GeneratorDegrees:
 
 
 def minimal_generator_degrees(W: LinearSeries) -> GeneratorDegrees:
-    """Count minimal generators of the annihilator ideal in each degree.
+    """Count minimal generators of the annihilator ideal I in each degree.
 
-    New generators in degree t are the quotient of the degree-t ideal
-    piece by the span of (dual variables) * (degree t-1 piece).  The top
-    degree is always at most d+1, where the ideal piece is everything.
+    For t = 1..d+1 (with h(d+1) = 0) the count is ``dim P_t - h(t)``,
+    where P_t is the prolongation of the layer A_{t-1}:
+
+        P_t = (S_1 * I_{t-1})^perp = {g in R_t : d_i g in A_{t-1} for all i}.
+
+    The new generators in degree t are I_t modulo S_1 * I_{t-1}, and in
+    S_t these are the orthogonal complements of A_t and of P_t (as
+    ``<x_i psi, g> = <psi, d_i g>``).  The gradient maps
+    P_t one to one (t >= 1, characteristic 0) onto the tuples
+    (u_1..u_n) in A_{t-1}^n with ``d_k u_i = d_i u_k`` for all i < k: a
+    closed homogeneous 1-form is exact (Poincare), and by Euler
+    ``g = (1/t) * sum x_i u_i`` has gradient (u_i).  So dim P_t is the
+    kernel dimension of ``(u_i) -> (d_k u_i - d_i u_k)_{i<k}`` on
+    A_{t-1}^n: the ``n * h(t-1)`` unknowns (one per variable and stored,
+    independent row of A_{t-1}) minus the rank of their images.  P_t
+    contains A_t, so ``dim P_t >= h(t)`` for every correct layer.  When
+    A_{t-1} is all of R_{t-1} (always at t = 1, and in low degrees of
+    dense input) P_t is all of R_t, and nothing is eliminated.
     """
-    ctx = W.context
-    n = len(ctx)
-    d = W.degree
+    n = len(W.context)
+    layers = W._layers
     counts: dict[int, int] = {}
-    prev: list[DualForm] = []
-    for t in range(1, d + 2):
-        if t <= d:
-            kern = apolar_ideal_component(W, t)
-            k_dim = len(kern)
+    for t in range(1, W.degree + 2):
+        below = layers[t - 1]
+        h = layers[t].dim if t <= W.degree else 0
+        if below.dim == math.comb(n + t - 2, t - 1):
+            p_dim = math.comb(n + t - 1, t)
         else:
-            kern = []
-            k_dim = math.comb(n + t - 1, t)
-        span = SpanBuilder()
-        for psi in prev:
-            for i in range(n):
-                span.add(_shift(psi.terms, i))
-        if span.dim > k_dim:
+            images = SpanBuilder()
+            for row in below.rows():
+                grad = [_partial(row, k) for k in range(n)]
+                for i in range(n):
+                    images.add({
+                        ((i, k) if i < k else (k, i), m): c if i < k else -c
+                        for k, dk in enumerate(grad)
+                        if k != i
+                        for m, c in dk.items()
+                    })
+            p_dim = n * below.dim - images.dim
+        if p_dim < h:
             raise InvariantError(
-                f"degree-{t} products of lower generators span {span.dim} "
-                f"dimensions inside a {k_dim}-dimensional ideal piece"
+                f"the degree-{t} prolongation of layer {t - 1} has dimension "
+                f"{p_dim}, less than the {h} of layer {t} inside it"
             )
-        fresh = k_dim - span.dim
-        if fresh:
-            counts[t] = fresh
-        prev = kern
+        if p_dim > h:
+            counts[t] = p_dim - h
     return GeneratorDegrees(counts, max(counts))
 
 

@@ -38,7 +38,7 @@ from .poly import (
     parse_polynomial_list,
 )
 
-VERIFY_N_CAP = 3  # verify mode recomputes columns up to this n
+VERIFY_N_CAP = 4  # verify mode recomputes columns up to this n
 
 
 class CliError(Exception):
@@ -90,9 +90,12 @@ def load_series(src: str) -> tuple[LinearSeries, str, FamilySpec | None]:
     except ParseError as exc:
         raise CliError(f"error: {src}: {exc}", 1) from exc
     try:
-        return LinearSeries.of_forms(forms), src, None
+        W = LinearSeries.of_forms(forms)
     except ValueError as exc:
         raise CliError(f"error: {src}: {exc}", 2) from exc
+    if len(W.context) == 0:
+        raise CliError(f"error: form file {src!r} has no variables", 2)
+    return W, src, None
 
 
 # ----------------------------------------------------------------------

@@ -140,3 +140,55 @@ def naive_ideal_component(forms, t):
         {m: c for m, c in zip(cols, v) if c}
         for v in naive_nullspace(rows, len(cols))
     ]
+
+
+
+def naive_sparse_rank(rows):
+    """Rank of sparse rows ``{column: value}`` by Gaussian elimination over
+    Fractions: each row is reduced against the stored rows at its
+    smallest column until that column is new, then stored scaled to 1
+    there."""
+    pivots = {}
+    for row in rows:
+        v = {k: Fraction(x) for k, x in row.items() if x}
+        while v:
+            c = min(v)
+            if c not in pivots:
+                lead = v[c]
+                pivots[c] = {k: x / lead for k, x in v.items()}
+                break
+            f = v[c]
+            for k, x in pivots[c].items():
+                nx = v.get(k, 0) - f * x
+                if nx:
+                    v[k] = nx
+                else:
+                    v.pop(k, None)
+    return len(pivots)
+
+
+def naive_generator_degrees(forms):
+    """Minimal generator counts per degree of the annihilator, t = 1..d+1:
+    dim I_t minus the rank of the products x_i * psi for psi in I_{t-1},
+    with I_t the Gauss-Jordan kernel of the degree-t catalecticant for
+    t <= d and all of S_{d+1} in degree d+1."""
+    d = forms[0].homogeneous_degree()
+    n = len(forms[0].context)
+    counts = {}
+    prev = []
+    for t in range(1, d + 2):
+        if t <= d:
+            piece = naive_ideal_component(forms, t)
+            dim = len(piece)
+        else:
+            dim = len(naive_monomials(n, t))
+        products = [
+            {m[:i] + (m[i] + 1,) + m[i + 1 :]: c for m, c in psi.items()}
+            for psi in prev
+            for i in range(n)
+        ]
+        fresh = dim - naive_sparse_rank(products)
+        if fresh:
+            counts[t] = fresh
+        prev = piece
+    return counts

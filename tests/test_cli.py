@@ -69,6 +69,19 @@ def test_table_verify_marks(capsys):
     assert "MISMATCH" not in out
 
 
+@pytest.mark.parametrize("family", ["det", "pf", "symdet"])
+def test_table_verify_reaches_n_4(capsys, family):
+    code, out, _ = run_cli(
+        capsys, "table", family, "--n-max", "4", "--mode", "verify", "--format", "json"
+    )
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    # every row verified at n = 3 is verified at n = 4 too, and matches
+    checked = [r["values"][2] for r in rows if r["values"][1].endswith(" (ok)")]
+    assert checked and all(v.endswith(" (ok)") for v in checked)
+    assert "MISMATCH" not in out
+
+
 def test_table_csv(capsys):
     _, out, _ = run_cli(capsys, "table", "det", "--n-max", "3", "--format", "csv")
     lines = out.strip().splitlines()
@@ -198,6 +211,18 @@ def test_bounds_zero_form_file_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "bounds", "--form", str(path))
     assert code == 2
     assert "zero" in err
+
+
+@pytest.mark.parametrize(
+    "command", ["hilbert", "bounds", "apolar-gens", "verify-decomposition"]
+)
+def test_form_file_without_variables_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "constant.txt"
+    path.write_text("5\n", encoding="utf-8")
+    extra = ["--file", str(path)] if command == "verify-decomposition" else []
+    code, out, err = run_cli(capsys, command, "--form", str(path), *extra)
+    assert code == 2 and out == ""
+    assert err == f"error: form file {str(path)!r} has no variables\n"
 
 
 def test_bounds_series_file(tmp_path, capsys):

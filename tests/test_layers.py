@@ -5,6 +5,11 @@ the derivative layers of a series; ``oracles.naive_catalecticant`` builds
 the dense catalecticant from coefficients and factorials and takes its
 rank and Gauss-Jordan kernel.  The two routes share no code, and the
 kernel bases must agree vector for vector, term for term.
+
+``minimal_generator_degrees`` counts generators from two adjacent
+layers (the prolongation of A_{t-1}); ``oracles.naive_generator_degrees``
+counts them from the oracle's annihilator pieces and the products of
+each piece with every variable.
 """
 
 import json
@@ -20,11 +25,19 @@ from apolar import (
     apolar_ideal_component,
     closed_form_hilbert,
     hilbert_function,
+    minimal_generator_degrees,
+    minimal_generators,
     parse_family,
+    parse_polynomial,
 )
 from apolar.catalog import build
 from apolar.cli import main
-from oracles import naive_catalecticant_hilbert, naive_ideal_component, naive_monomials
+from oracles import (
+    naive_catalecticant_hilbert,
+    naive_generator_degrees,
+    naive_ideal_component,
+    naive_monomials,
+)
 
 
 def check_against_oracle(W):
@@ -88,3 +101,46 @@ def test_dense_series_matches_oracle():
         ]
     )
     check_against_oracle(W)
+
+
+# ----------------------------------------------------------------------
+# generator degrees
+
+
+def check_generators(W):
+    gd = minimal_generator_degrees(W)
+    assert gd.counts == naive_generator_degrees([f for f in W.forms if not f.is_zero])
+    assert gd.delta == max(gd.counts)
+    # the explicit generators come from the kernel route, which shares
+    # only the layers with the count
+    gens = minimal_generators(W)
+    assert {t: len(g) for t, g in gens.items()} == gd.counts
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_series())
+def test_generator_degrees_match_oracle_on_random_series(W):
+    check_generators(W)
+
+
+@pytest.mark.parametrize(
+    "family",
+    ["det:2", "det:3", "pf:3", "perm:3", "symdet:3", "monprod:5", "minors:2,3,2",
+     "matmul:2,2,2"],
+)
+def test_generator_degrees_match_oracle_on_families(family):
+    check_generators(build(parse_family(family)))
+
+
+@pytest.mark.parametrize("family, counts", [("det:5", {2: 225}), ("pf:4", {2: 336})])
+def test_generator_degrees_beyond_the_kernel_route(family, counts):
+    assert minimal_generator_degrees(build(parse_family(family))).counts == counts
+
+
+def test_generator_degrees_of_a_linear_form_in_many_variables():
+    # the annihilator of x[1] + ... + x[n] is generated by the n-1 linear
+    # forms d[1] - d[j] and one quadric
+    W = LinearSeries.of_form(
+        parse_polynomial(" + ".join(f"x[{i}]" for i in range(1, 201)))
+    )
+    assert minimal_generator_degrees(W).counts == {1: 199, 2: 1}
