@@ -41,11 +41,13 @@ from .apolarity import (
     HilbertFunction,
     InvariantError,
     LinearSeries,
+    NoVariablesError,
     ZeroSeriesError,
     apolar_ideal_component,
     apolar_length,
     catalecticant_matrix,
     colon_component,
+    derivative_kernel_dims,
     diff_closure_dim,
     differentiate_series,
     hilbert_function,

@@ -22,7 +22,12 @@ directly.  Everything is read off the layers:
 * minimal generator counts come from two adjacent layers: degree t has
   ``dim P_t - h(t)`` new generators, where the prolongation
   ``P_t = {g : d_i g in A_{t-1} for all i}`` is the kernel of a map on
-  ``n * h(t-1)`` unknowns (see :func:`minimal_generator_degrees`).
+  ``n * h(t-1)`` unknowns (see :func:`minimal_generator_degrees`);
+* derivative bounds come from the same layers: for a linear dual form
+  D the degree-t layer of the derivative series DW is ``D(A_{t+1})``,
+  so the difference of the apolar lengths of W and DW is
+  ``sum_t dim ker(D|A_t)``, and no derivative series is built (see
+  :func:`derivative_kernel_dims`).
 
 So the work grows with the Hilbert function h(t), not with
 ``dim S_t = C(n+t-1, t)``, except where an answer itself holds one
@@ -61,6 +66,11 @@ class DegreeRangeError(ValueError):
     pass
 
 
+class NoVariablesError(ValueError):
+    """The series lives over a context with no variables: its forms are
+    constants, with no derivatives to take."""
+
+
 class InvariantError(RuntimeError):
     """A computed dimension broke a bound that holds for every input: the
     computation is wrong, not the input."""
@@ -93,6 +103,8 @@ class LinearSeries:
                 )
         if not saw_nonzero:
             raise ZeroSeriesError("all series members are zero")
+        if not len(ctx):
+            raise NoVariablesError("a linear series needs at least one variable")
 
     @classmethod
     def of_forms(cls, forms) -> "LinearSeries":
@@ -164,7 +176,11 @@ def _partials(row, n: int):
 
 
 def differentiate_series(W: LinearSeries, theta: DualForm) -> LinearSeries | None:
-    """The series of derivatives theta(F) for F in W; None if it is zero."""
+    """The series of derivatives theta(F) for F in W; None if it is zero.
+
+    Derivative bounds do not build it (:func:`derivative_kernel_dims`
+    reads them off the layers of W); it stays for callers who want the
+    series itself, and as a second route in the tests."""
     if not isinstance(theta, DualForm):
         raise ContextMismatchError("differentiation direction must be a DualForm")
     images = [apply_operator(theta, f) for f in W.reduced_basis]
@@ -268,6 +284,50 @@ def apolar_length(W: LinearSeries) -> int:
     """Total dimension of the apolar algebra (= dimension of the span of
     all derivatives of all orders of the series)."""
     return hilbert_function(W).total
+
+
+def derivative_kernel_dims(W: LinearSeries, partial: DualForm) -> list[int]:
+    """``dim ker(D|A_t)`` for t = 0..d, for a nonzero linear dual form D.
+
+    The (d-1-t)-th partials of DF are D applied to the (d-1-t)-th
+    partials of F, so the degree-t layer of the derivative series DW is
+    ``D(A_{t+1})``, and ``len A_W - len A_DW`` is the sum of this list.
+    Scaling D leaves its kernels alone, so its denominators are cleared
+    once and every image is an integer row.  A_0 (the constants) is
+    killed whole.  For t >= 1 the rank of D on A_t needs no elimination
+    when A_t is all of R_t (h(t) = C(n+t-1, t)): D maps R_t onto R_{t-1},
+    so the rank is C(n+t-2, t-1).  Otherwise the images of the stored
+    rows of A_t go into one span, and adding stops once its dimension
+    reaches h(t-1), since ``D(A_t)`` lies in A_{t-1}.
+    """
+    if not isinstance(partial, DualForm) or partial.context != W.context:
+        raise ContextMismatchError("expected a DualForm over the series context")
+    if not partial.is_linear_form():
+        raise ValueError("derivative direction must be a nonzero linear dual form")
+    n = len(W.context)
+    dims = hilbert_function(W).dims
+    scale = math.lcm(*(c.denominator for c in partial.terms.values()))
+    coeffs = [
+        (m.index(1), c.numerator * (scale // c.denominator))
+        for m, c in partial.terms.items()
+    ]
+    out = [dims[0]]
+    for t in range(1, len(dims)):
+        h = dims[t]
+        if h == math.comb(n + t - 1, t):
+            out.append(h - math.comb(n + t - 2, t - 1))
+            continue
+        images = SpanBuilder()
+        for row in W._layers[t].rows():
+            image: dict = {}
+            for i, c in coeffs:
+                for k, v in _partial(row, i).items():
+                    image[k] = image.get(k, 0) + c * v
+            images.add(image)
+            if images.dim == dims[t - 1]:
+                break
+        out.append(h - images.dim)
+    return out
 
 
 def _weight(m: Monomial) -> int:

@@ -7,16 +7,20 @@ Waring rank of its forms):
 * Ranestad-Schreyer: apolar length divided by the top generator degree
   of the annihilator.
 * Derivative bound: apolar length of W minus apolar length of the
-  derivative series dW, for a linear dual direction d.  Valid when d is
-  generic, or for any d that lies in no proper subrepresentation when W
+  derivative series DW, for a linear dual direction D.  Valid when D is
+  generic, or for any D that lies in no proper subrepresentation when W
   is invariant under a connected group action; the latter cannot be
-  checked here, so it is recorded as a caller assertion.
+  checked here, so it is recorded as a caller assertion.  The degree-t
+  layer of DW is D applied to the degree-(t+1) layer A_{t+1} of W, so
+  the bound is ``sum_t dim ker(D|A_t)``, read off W's cached layers
+  (``apolarity.derivative_kernel_dims``) without building DW.  A layer
+  that is all of R_t needs no elimination (D maps it onto R_{t-1}), and
+  the images of any other layer stop once their rank reaches h(t-1).
 
 The generic variant samples seeded random integer directions and takes
-the minimum: the derivative-series length is a matrix rank, hence lower
-semicontinuous in the direction, so special directions only inflate the
-difference and each random sample realizes the generic value with
-probability 1.
+the minimum: each rank of D on a layer is lower semicontinuous in the
+direction, so special directions only inflate the kernels and each
+random sample realizes the generic value with probability 1.
 
 Upper bound (single forms): dimension of the derivative closure of a
 dehomogenization, reported next to the lower bounds so the bracket for
@@ -33,13 +37,15 @@ from fractions import Fraction
 from .apolarity import (
     LinearSeries,
     apolar_length,
+    derivative_kernel_dims,
     diff_closure_dim,
-    differentiate_series,
     hilbert_function,
     minimal_generator_degrees,
 )
+# no longer called here, but still importable under this name: the
+# bench tracer (bench/tracing.py) wraps it in this module
+from .apolarity import differentiate_series  # noqa: F401
 from .poly import (
-    ContextMismatchError,
     DualForm,
     Polynomial,
     Rational,
@@ -163,22 +169,16 @@ def ranestad_schreyer_bound(W: LinearSeries) -> Rational:
 
 
 def derivative_bound(W: LinearSeries, partial: DualForm) -> int:
-    """Apolar length of W minus apolar length of the derivative series.
+    """Apolar length of W minus apolar length of the derivative series DW.
 
-    The derivative series may be zero, in which case the bound
-    degenerates to the apolar length itself.
+    Computed as ``sum_t dim ker(D|A_t)`` over W's derivative layers: the
+    degree-t layer of DW is ``D(A_{t+1})``.  Two shortcuts keep it cheap:
+    a layer that is all of R_t maps onto R_{t-1} (no elimination), and
+    the images of a layer stop once their rank reaches h(t-1).  When DW
+    is zero every kernel is the whole layer, and the bound is the apolar
+    length of W itself.
     """
-    _require_linear_dual(W, partial)
-    lw = apolar_length(W)
-    dW = differentiate_series(W, partial)
-    return lw - (apolar_length(dW) if dW is not None else 0)
-
-
-def _require_linear_dual(W: LinearSeries, partial: DualForm) -> None:
-    if not isinstance(partial, DualForm) or partial.context != W.context:
-        raise ContextMismatchError("expected a DualForm over the series context")
-    if not partial.is_linear_form():
-        raise ValueError("derivative direction must be a nonzero linear dual form")
+    return sum(derivative_kernel_dims(W, partial))
 
 
 def random_linear_dual(context: VarContext, rng: random.Random) -> DualForm:
@@ -314,7 +314,7 @@ def bound_report(
     )
 
     if partial is not None:
-        value = derivative_bound(W, partial)
+        kernel_dims = derivative_kernel_dims(W, partial)
         if assertion.asserted:
             caveat = (
                 "valid as a cactus lower bound under the asserted invariance"
@@ -328,12 +328,13 @@ def bound_report(
         entries.append(
             BoundEntry(
                 name="derivative",
-                value=Fraction(value),
+                value=Fraction(sum(kernel_dims)),
                 kind=KIND_LOWER_CACTUS,
                 metadata={
                     "partial": format_polynomial(partial),
                     "invariance_asserted": assertion.asserted,
                     "caveat": caveat,
+                    "kernel_dims": kernel_dims,
                 },
             )
         )

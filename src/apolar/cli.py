@@ -22,6 +22,7 @@ from fractions import Fraction
 from . import catalog
 from .apolarity import (
     LinearSeries,
+    NoVariablesError,
     hilbert_function,
     minimal_generator_degrees,
     minimal_generators,
@@ -91,10 +92,10 @@ def load_series(src: str) -> tuple[LinearSeries, str, FamilySpec | None]:
         raise CliError(f"error: {src}: {exc}", 1) from exc
     try:
         W = LinearSeries.of_forms(forms)
+    except NoVariablesError as exc:
+        raise CliError(f"error: form file {src!r} has no variables", 2) from exc
     except ValueError as exc:
         raise CliError(f"error: {src}: {exc}", 2) from exc
-    if len(W.context) == 0:
-        raise CliError(f"error: form file {src!r} has no variables", 2)
     return W, src, None
 
 

@@ -13,13 +13,14 @@ The dense side is only an adapter for callers of the public
 :func:`rank` and :func:`kernel_basis` feed its rows to the same engine.
 
 Row form: a vector is a sparse map from orderable keys to rationals.
-Its denominators are cleared on entry, and every stored row is a
-primitive integer vector (entries with gcd 1, positive pivot) whose
-pivot is its largest key.  A vector meeting a stored row at that row's
-pivot ``p`` is eliminated fraction-free, as in Bareiss's method: with
-``g = gcd(v[p], row[p])`` it becomes ``v * (row[p]/g) - row * (v[p]/g)``,
-so entries stay integers, and its content is divided out before it is
-stored.
+Its denominators are cleared on entry (an all-``int`` vector, as every
+layer, prolongation and kernel-of-derivative vector is, skips that
+pass), and every stored row is a primitive integer vector (entries with
+gcd 1, positive pivot) whose pivot is its largest key.  A vector meeting
+a stored row at that row's pivot ``p`` is eliminated fraction-free, as
+in Bareiss's method: with ``g = gcd(v[p], row[p])`` it becomes
+``v * (row[p]/g) - row * (v[p]/g)``, so entries stay integers, and its
+content is divided out before it is stored.
 
 Dense matrices enter with column ``c`` keyed as ``-c``, so each pivot is
 its row's first nonzero column (exponent-tuple keys in descending
@@ -113,13 +114,15 @@ class SpanBuilder:
     def add(self, vec: Mapping) -> bool:
         """Insert ``vec``; returns True iff it enlarged the span.
 
-        ``vec`` has its denominators cleared and is eliminated against
-        the stored rows until its largest key is not a pivot (lower keys
-        may remain unreduced); nothing is left iff it lay in the span.
+        ``vec`` has its denominators cleared (only when some entry is not
+        an ``int``) and is eliminated against the stored rows until its
+        largest key is not a pivot (lower keys may remain unreduced);
+        nothing is left iff it lay in the span.
         """
         v = {k: c for k, c in vec.items() if c}
-        scale = math.lcm(*(c.denominator for c in v.values()))
-        v = {k: c.numerator * (scale // c.denominator) for k, c in v.items()}
+        if any(type(c) is not int for c in v.values()):
+            scale = math.lcm(*(c.denominator for c in v.values()))
+            v = {k: c.numerator * (scale // c.denominator) for k, c in v.items()}
         rows = self._rows
         while v:
             p = max(v)

@@ -60,6 +60,27 @@ def brute_hilbert(forms):
     return dims
 
 
+def naive_directional_derivative(f: Polynomial, direction):
+    """sum_i direction[i] * df/dx_i, term by term."""
+    out = {}
+    for m, c in f.terms.items():
+        for i, a in enumerate(direction):
+            if a and m[i]:
+                k = m[:i] + (m[i] - 1,) + m[i + 1 :]
+                out[k] = out.get(k, 0) + Fraction(a) * c * m[i]
+    return Polynomial(f.context, {k: v for k, v in out.items() if v})
+
+
+def naive_derivative_bound(forms, direction):
+    """Apolar length of the forms minus that of their derivatives along
+    ``direction`` (one coefficient per variable), both lengths from
+    :func:`brute_hilbert`; a zero derivative series has length 0."""
+    forms = [f for f in forms if not f.is_zero]
+    images = [naive_directional_derivative(f, direction) for f in forms]
+    images = [g for g in images if not g.is_zero]
+    return sum(brute_hilbert(forms)) - (sum(brute_hilbert(images)) if images else 0)
+
+
 # ----------------------------------------------------------------------
 # catalecticant oracle: the textbook matrix of the degree-t pairing,
 # built entry by entry from coefficients and factorials

@@ -11,6 +11,7 @@ from apolar import (
     DegreeRangeError,
     DualForm,
     LinearSeries,
+    NoVariablesError,
     Polynomial,
     VarContext,
     ZeroSeriesError,
@@ -67,6 +68,16 @@ def spans_match(duals_a, duals_b, ctx, t):
 def test_series_rejects_zero():
     with pytest.raises(ZeroSeriesError):
         LinearSeries.of_form(p("0", XY))
+
+
+def test_series_rejects_a_context_without_variables():
+    # a constant has no derivatives: the series is refused up front, not
+    # by math.comb deep inside the Hilbert function
+    with pytest.raises(NoVariablesError, match="at least one variable"):
+        LinearSeries.of_form(parse_polynomial("5"))
+    with pytest.raises(ZeroSeriesError):
+        LinearSeries.of_form(parse_polynomial("0"))
+    assert hilbert_function(LinearSeries.of_form(p("5", XY))).dims == (1,)
 
 
 def test_series_rejects_mixed_degrees():

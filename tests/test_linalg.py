@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -156,6 +157,23 @@ def test_span_builder_contains():
     assert not builder.add({0: Fraction(-1, 2), 1: 0})
     assert builder.add({2: 1})
     assert builder.dim == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4), min_size=1, max_size=6))
+def test_span_builder_stores_the_same_int_rows_from_int_and_fraction_input(rows):
+    # integer input skips the denominator pass; Fraction input, whole
+    # numbers included, goes through it and must store the same rows
+    as_int, as_whole, as_scaled = SpanBuilder(), SpanBuilder(), SpanBuilder()
+    for row in rows:
+        added = as_int.add(dict(enumerate(row)))
+        assert as_whole.add({i: Fraction(x, 1) for i, x in enumerate(row)}) == added
+        assert as_scaled.add({i: Fraction(x, 6) for i, x in enumerate(row)}) == added
+    stored = [list(b.rows()) for b in (as_int, as_whole, as_scaled)]
+    assert stored[0] == stored[1] == stored[2]
+    for row in (r for rows in stored for r in rows):
+        assert all(type(x) is int for x in row.values())
+        assert math.gcd(*row.values()) == 1 and row[max(row)] > 0
 
 
 @settings(max_examples=60, deadline=None)
