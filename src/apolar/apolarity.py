@@ -13,21 +13,23 @@ directly.  Everything is read off the layers:
 * the Hilbert function is ``dims[t] = dim A_t``, which is the rank of
   the degree-t catalecticant (its transpose has image A_t), for series
   as well as single forms, and the apolar length is their sum;
-* the degree-t annihilator piece is the orthogonal complement of A_t
-  under the pairing ``<d^beta, x^alpha> = alpha! * delta(alpha, beta)``:
-  the kernel of the ``h(t) x dim S_t`` matrix whose rows are
-  ``{alpha: alpha! * g_alpha}`` for the rows g of A_t;
-* colon pieces and quotient lengths pair dual forms against the same
-  layers;
+* annihilator, colon and quotient pieces come from one pairing,
+  ``<d^beta, x^alpha> = alpha! * delta(alpha, beta)``: a homogeneous
+  dual form theta of degree e and the layer A_s give one row
+  ``beta -> <theta * d^beta, g>`` per stored row g of A_s
+  (:func:`_pairing`).  The kernel of these rows over the degree-(s-e)
+  monomials is the degree-(s-e) piece of the colon ``I : theta``; at
+  theta = 1 it is the annihilator piece I_s, the orthogonal complement
+  of A_s.  Above the series degree the layer is zero, so the kernel is
+  every monomial;
 * minimal generator counts come from two adjacent layers: degree t has
   ``dim P_t - h(t)`` new generators, where the prolongation
   ``P_t = {g : d_i g in A_{t-1} for all i}`` is the kernel of a map on
-  ``n * h(t-1)`` unknowns (see :func:`minimal_generator_degrees`);
-* derivative bounds come from the same layers: for a linear dual form
-  D the degree-t layer of the derivative series DW is ``D(A_{t+1})``,
-  so the difference of the apolar lengths of W and DW is
-  ``sum_t dim ker(D|A_t)``, and no derivative series is built (see
-  :func:`derivative_kernel_dims`).
+  ``n * h(t-1)`` unknowns (see :func:`minimal_generator_degrees`).  The
+  explicit generators (:func:`minimal_generators`) follow that count:
+  only the degrees it lists are built;
+* derivative bounds come from the same layers, without building the
+  derivative series (see :func:`derivative_kernel_dims`).
 
 So the work grows with the Hilbert function h(t), not with
 ``dim S_t = C(n+t-1, t)``, except where an answer itself holds one
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .linalg import QMatrix, Rational, SpanBuilder
+from .linalg import QMatrix, Rational, SpanBuilder, clear_denominators
 # no longer called here, but still importable under these names: the
 # bench tracer (bench/tracing.py) wraps them in this module
 from .linalg import kernel_basis, rank  # noqa: F401
@@ -55,6 +57,7 @@ from .poly import (
     VarContext,
     apply_operator,
     monomial_basis,
+    partial_terms,
 )
 
 
@@ -154,23 +157,10 @@ class LinearSeries:
         return tuple(reversed(layers))
 
 
-def _partial(row, i: int) -> dict:
-    """d/dx_i of a sparse row ``{exponents: coeff}``.
-
-    ``m -> m - e_i`` is injective, so no two terms meet and none
-    cancels."""
-    out = {}
-    for m, c in row.items():
-        e = m[i]
-        if e:
-            out[m[:i] + (e - 1,) + m[i + 1 :]] = c * e
-    return out
-
-
 def _partials(row, n: int):
     """The nonzero first partials of a sparse row."""
     for i in range(n):
-        out = _partial(row, i)
+        out = partial_terms(row, i)
         if out:
             yield out
 
@@ -230,31 +220,17 @@ def catalecticant_matrix(W: LinearSeries, t: int) -> QMatrix:
         raise DegreeRangeError(f"degree {t} outside 0..{d}")
     ctx = W.context
     cols = monomial_basis(ctx, t)
-    out_monos = monomial_basis(ctx, d - t)
-    out_index = {m: i for i, m in enumerate(out_monos)}
+    out_index = {m: i for i, m in enumerate(monomial_basis(ctx, d - t))}
     basis = W.reduced_basis
-    nrows = len(basis) * len(out_monos)
-    data: list[list[Rational]] = [[Fraction(0)] * len(cols) for _ in range(nrows)]
-    # a column touches only the variables it differentiates, so the
-    # per-entry work is O(t), not O(n)
-    supports = [[(i, b) for i, b in enumerate(e) if b] for e in cols]
+    data: list[list[Rational]] = [
+        [Fraction(0)] * len(cols) for _ in range(len(basis) * len(out_index))
+    ]
     for bi, f in enumerate(basis):
-        base = bi * len(out_monos)
-        for mf, c in f.terms.items():
-            for ci, support in enumerate(supports):
-                factor = 1
-                for i, b in support:
-                    if mf[i] < b:
-                        factor = 0
-                        break
-                    factor *= math.perm(mf[i], b)
-                if not factor:
-                    continue
-                target = list(mf)
-                for i, b in support:
-                    target[i] -= b
-                data[base + out_index[tuple(target)]][ci] += c * factor
-    return QMatrix.from_rows(data) if nrows else QMatrix(0, len(cols), ())
+        base = bi * len(out_index)
+        for ci, beta in enumerate(cols):
+            for m, c in apply_operator(DualForm(ctx, {beta: 1}), f).terms.items():
+                data[base + out_index[m]][ci] = c
+    return QMatrix.from_rows(data)
 
 
 def hilbert_function(W: LinearSeries) -> HilbertFunction:
@@ -291,7 +267,11 @@ def derivative_kernel_dims(W: LinearSeries, partial: DualForm) -> list[int]:
 
     The (d-1-t)-th partials of DF are D applied to the (d-1-t)-th
     partials of F, so the degree-t layer of the derivative series DW is
-    ``D(A_{t+1})``, and ``len A_W - len A_DW`` is the sum of this list.
+    ``D(A_{t+1})``, and
+
+        len A_W - len A_DW = sum_t dim ker(D|A_t),
+
+    the sum of this list, with no derivative series built.
     Scaling D leaves its kernels alone, so its denominators are cleared
     once and every image is an integer row.  A_0 (the constants) is
     killed whole.  For t >= 1 the rank of D on A_t needs no elimination
@@ -306,11 +286,7 @@ def derivative_kernel_dims(W: LinearSeries, partial: DualForm) -> list[int]:
         raise ValueError("derivative direction must be a nonzero linear dual form")
     n = len(W.context)
     dims = hilbert_function(W).dims
-    scale = math.lcm(*(c.denominator for c in partial.terms.values()))
-    coeffs = [
-        (m.index(1), c.numerator * (scale // c.denominator))
-        for m, c in partial.terms.items()
-    ]
+    coeffs = [(m.index(1), c) for m, c in clear_denominators(partial.terms).items()]
     out = [dims[0]]
     for t in range(1, len(dims)):
         h = dims[t]
@@ -321,7 +297,7 @@ def derivative_kernel_dims(W: LinearSeries, partial: DualForm) -> list[int]:
         for row in W._layers[t].rows():
             image: dict = {}
             for i, c in coeffs:
-                for k, v in _partial(row, i).items():
+                for k, v in partial_terms(row, i).items():
                     image[k] = image.get(k, 0) + c * v
             images.add(image)
             if images.dim == dims[t - 1]:
@@ -339,31 +315,45 @@ def _weight(m: Monomial) -> int:
     return w
 
 
-def _annihilator(W: LinearSeries, t: int) -> Iterator[dict[Monomial, Fraction]]:
-    """Degree-t annihilator piece (t <= d) as the orthogonal complement
-    of the layer A_t, sparse, in the reduced-echelon basis of the dense
-    catalecticant kernel: monomial keys compare like negated column
-    indices, so pivots are the first nonzero columns."""
+def _pairing(W: LinearSeries, theta_terms: dict, s: int) -> SpanBuilder:
+    """Span of the rows ``beta -> <theta * d^beta, g>``, one per stored
+    row g of the layer A_s; there are none for s > d, where A_s is zero.
+
+    ``<theta * d^beta, g> = sum_gamma theta_gamma (beta+gamma)! g_(beta+gamma)``,
+    so the term ``g_mu x^mu`` meets each ``theta_gamma`` with ``gamma <= mu``
+    at ``beta = mu - gamma``.  The kernel over the degree-(s - deg theta)
+    monomials is the dual forms psi with ``theta * psi`` orthogonal to A_s.
+    """
     span = SpanBuilder()
-    for g in W._layers[t].rows():
-        span.add({m: _weight(m) * c for m, c in g.items()})
-    return span.kernel(monomial_basis(W.context, t))
+    for g in W._layers[s].rows() if s <= W.degree else ():
+        row: dict[Monomial, Rational] = {}
+        for mu, c in g.items():
+            wc = _weight(mu) * c
+            for gamma, ce in theta_terms.items():
+                beta = tuple(a - b for a, b in zip(mu, gamma))
+                if all(x >= 0 for x in beta):
+                    row[beta] = row.get(beta, 0) + ce * wc
+        span.add(row)
+    return span
+
+
+def _annihilator(W: LinearSeries, t: int) -> Iterator[dict[Monomial, Fraction]]:
+    """Degree-t annihilator piece, sparse, in the reduced-echelon basis of
+    the dense catalecticant kernel: monomial keys compare like negated
+    column indices, so pivots are the first nonzero columns.  The int 1
+    keeps the pairing rows on the integer path of ``SpanBuilder.add``."""
+    one = {(0,) * len(W.context): 1}
+    return _pairing(W, one, t).kernel(monomial_basis(W.context, t))
 
 
 def apolar_ideal_component(W: LinearSeries, t: int) -> list[DualForm]:
-    """Basis of the degree-t piece of the annihilator of W.
-
-    Below the top degree this is the reduced-echelon basis of the
-    orthogonal complement of the layer A_t (the kernel basis of the
-    degree-t catalecticant).  For t above the series degree the piece is
-    the full dual space, so the monomial basis itself is returned.
-    """
+    """Basis of the degree-t piece of the annihilator of W: the
+    reduced-echelon basis of the orthogonal complement of the layer A_t
+    (the kernel basis of the degree-t catalecticant).  Above the series
+    degree that is the monomial basis."""
     if t < 0:
         raise DegreeRangeError("degree must be non-negative")
-    ctx = W.context
-    if t > W.degree:
-        return [DualForm(ctx, {m: Fraction(1)}) for m in monomial_basis(ctx, t)]
-    return [DualForm(ctx, v) for v in _annihilator(W, t)]
+    return [DualForm(W.context, v) for v in _annihilator(W, t)]
 
 
 def _shift(terms: dict[Monomial, Rational], pos: int) -> dict[Monomial, Rational]:
@@ -415,7 +405,7 @@ def minimal_generator_degrees(W: LinearSeries) -> GeneratorDegrees:
         else:
             images = SpanBuilder()
             for row in below.rows():
-                grad = [_partial(row, k) for k in range(n)]
+                grad = [partial_terms(row, k) for k in range(n)]
                 for i in range(n):
                     images.add({
                         ((i, k) if i < k else (k, i), m): c if i < k else -c
@@ -437,28 +427,31 @@ def minimal_generator_degrees(W: LinearSeries) -> GeneratorDegrees:
 def minimal_generators(
     W: LinearSeries, max_degree: int | None = None
 ) -> dict[int, list[DualForm]]:
-    """Explicit minimal generators (a deterministic choice) per degree."""
-    ctx = W.context
-    n = len(ctx)
-    d = W.degree
-    upto = max_degree if max_degree is not None else d + 1
+    """Explicit minimal generators (a deterministic choice) per degree.
+
+    Only the degrees t <= max_degree (default d+1) that
+    :func:`minimal_generator_degrees` counts are built.  In each, the
+    elements of the reduced-echelon basis of I_t are kept greedily when
+    they enlarge the span of the products ``x_i * psi`` for psi in
+    I_{t-1}, and the number kept must equal the count.
+    """
+    n = len(W.context)
+    upto = max_degree if max_degree is not None else W.degree + 1
     out: dict[int, list[DualForm]] = {}
-    prev: list[DualForm] = []
-    for t in range(1, upto + 1):
-        if t <= d:
-            candidates = apolar_ideal_component(W, t)
-        else:
-            candidates = [
-                DualForm(ctx, {m: Fraction(1)}) for m in monomial_basis(ctx, t)
-            ]
+    for t, count in minimal_generator_degrees(W).counts.items():
+        if t > upto:
+            break
         span = SpanBuilder()
-        for psi in prev:
+        for psi in apolar_ideal_component(W, t - 1):
             for i in range(n):
                 span.add(_shift(psi.terms, i))
-        gens = [c for c in candidates if span.add(c.terms)]
-        if gens:
-            out[t] = gens
-        prev = candidates
+        gens = [c for c in apolar_ideal_component(W, t) if span.add(c.terms)]
+        if len(gens) != count:
+            raise InvariantError(
+                f"{len(gens)} minimal generators listed in degree {t}, "
+                f"but the prolongation counts {count}"
+            )
+        out[t] = gens
     return out
 
 
@@ -466,11 +459,11 @@ def colon_component(W: LinearSeries, theta: DualForm, t: int) -> list[DualForm]:
     """Degree-t piece of the colon of the annihilator by theta.
 
     Computed directly as the dual forms psi of degree t whose product
-    with theta annihilates W, i.e. is orthogonal to the layer A_{t+e}:
-    one row ``beta -> <theta * d^beta, g>`` per row g of A_{t+e}.  No
-    derivative series is formed and its annihilator is not used, so
-    this can be compared against it as an independent identity check.
-    Returned as the reduced-echelon basis of the piece.
+    with theta (of degree e) is orthogonal to the layer A_{t+e}: the
+    kernel of :func:`_pairing`.  No derivative series is formed and its
+    annihilator is not used, so this can be compared against it as an
+    independent identity check.  Returned as the reduced-echelon basis
+    of the piece.
     """
     if not isinstance(theta, DualForm) or theta.context != W.context:
         raise ContextMismatchError("colon divisor must be a DualForm over the same context")
@@ -481,23 +474,9 @@ def colon_component(W: LinearSeries, theta: DualForm, t: int) -> list[DualForm]:
     if t < 0:
         raise DegreeRangeError("degree must be non-negative")
     ctx = W.context
-    e = theta.homogeneous_degree()
-    monos_t = monomial_basis(ctx, t)
-    if t + e > W.degree:
-        return [DualForm(ctx, {m: Fraction(1)}) for m in monos_t]
-    pairing = SpanBuilder()
-    for g in W._layers[t + e].rows():
-        # <theta * d^beta, g> = sum over gamma of theta_gamma (beta+gamma)! g_(beta+gamma)
-        row: dict[Monomial, Rational] = {}
-        for mu, c in g.items():
-            wc = _weight(mu) * c
-            for gamma, ce in theta.terms.items():
-                beta = tuple(a - b for a, b in zip(mu, gamma))
-                if all(x >= 0 for x in beta):
-                    row[beta] = row.get(beta, 0) + ce * wc
-        pairing.add(row)
+    pairing = _pairing(W, theta.terms, t + theta.homogeneous_degree())
     colon = SpanBuilder()
-    for v in pairing.kernel(monos_t):
+    for v in pairing.kernel(monomial_basis(ctx, t)):
         colon.add(v)
     return [
         DualForm(ctx, dict(sorted(row.items(), reverse=True)))
@@ -548,8 +527,7 @@ def diff_closure_dim(f: Polynomial) -> int:
     """
     if f.is_zero:
         raise ValueError("the derivative closure of zero is not defined")
-    scale = math.lcm(*(c.denominator for c in f.terms.values()))
-    top = {m: c.numerator * (scale // c.denominator) for m, c in f.terms.items()}
+    top = clear_denominators(f.terms)
     span = SpanBuilder()
     span.add(top)
     frontier = [top]

@@ -10,12 +10,10 @@ Waring rank of its forms):
   derivative series DW, for a linear dual direction D.  Valid when D is
   generic, or for any D that lies in no proper subrepresentation when W
   is invariant under a connected group action; the latter cannot be
-  checked here, so it is recorded as a caller assertion.  The degree-t
-  layer of DW is D applied to the degree-(t+1) layer A_{t+1} of W, so
-  the bound is ``sum_t dim ker(D|A_t)``, read off W's cached layers
-  (``apolarity.derivative_kernel_dims``) without building DW.  A layer
-  that is all of R_t needs no elimination (D maps it onto R_{t-1}), and
-  the images of any other layer stop once their rank reaches h(t-1).
+  checked here, so it is recorded as a caller assertion.  It is read
+  off W's cached layers without building DW, as the sum of the kernels
+  ``apolarity.derivative_kernel_dims`` lists (the identity is stated
+  there).
 
 The generic variant samples seeded random integer directions and takes
 the minimum: each rank of D on a layer is lower semicontinuous in the
@@ -169,14 +167,10 @@ def ranestad_schreyer_bound(W: LinearSeries) -> Rational:
 
 
 def derivative_bound(W: LinearSeries, partial: DualForm) -> int:
-    """Apolar length of W minus apolar length of the derivative series DW.
-
-    Computed as ``sum_t dim ker(D|A_t)`` over W's derivative layers: the
-    degree-t layer of DW is ``D(A_{t+1})``.  Two shortcuts keep it cheap:
-    a layer that is all of R_t maps onto R_{t-1} (no elimination), and
-    the images of a layer stop once their rank reaches h(t-1).  When DW
-    is zero every kernel is the whole layer, and the bound is the apolar
-    length of W itself.
+    """Apolar length of W minus apolar length of the derivative series DW:
+    the sum of :func:`apolarity.derivative_kernel_dims`, which states
+    why.  When DW is zero every kernel is the whole layer, and the bound
+    is the apolar length of W itself.
     """
     return sum(derivative_kernel_dims(W, partial))
 

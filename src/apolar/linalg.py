@@ -74,6 +74,13 @@ class QMatrix:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
 
+def clear_denominators(vec: Mapping) -> dict:
+    """The integer multiple of ``vec`` by the lcm of its denominators;
+    an all-``int`` vector comes back equal to itself."""
+    scale = math.lcm(*(c.denominator for c in vec.values()))
+    return {k: c.numerator * (scale // c.denominator) for k, c in vec.items()}
+
+
 def _eliminate(v: dict, a: int, lead: int, tail: dict) -> tuple[dict, int]:
     """One fraction-free step: ``a`` is the coefficient just popped from
     ``v`` at the pivot of the row ``(lead, tail)``.  Returns
@@ -121,8 +128,7 @@ class SpanBuilder:
         """
         v = {k: c for k, c in vec.items() if c}
         if any(type(c) is not int for c in v.values()):
-            scale = math.lcm(*(c.denominator for c in v.values()))
-            v = {k: c.numerator * (scale // c.denominator) for k, c in v.items()}
+            v = clear_denominators(v)
         rows = self._rows
         while v:
             p = max(v)

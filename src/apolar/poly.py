@@ -245,13 +245,7 @@ class Polynomial:
 
     def partial(self, pos: int) -> "Polynomial":
         """Derivative with respect to the variable at ``pos``."""
-        # m -> m - e_pos is injective, so no two terms meet
-        out: dict[Monomial, Rational] = {}
-        for m, c in self.terms.items():
-            e = m[pos]
-            if e:
-                out[m[:pos] + (e - 1,) + m[pos + 1 :]] = c * e
-        return type(self)(self.context, out)
+        return type(self)(self.context, partial_terms(self.terms, pos))
 
     def __str__(self) -> str:
         return format_polynomial(self)
@@ -263,6 +257,19 @@ class DualForm(Polynomial):
 
 # ----------------------------------------------------------------------
 # the apolar action
+
+
+def partial_terms(terms: dict, pos: int) -> dict:
+    """d/dx_pos of a sparse term map ``{exponents: coeff}``.
+
+    ``m -> m - e_pos`` is injective, so no two terms meet and none
+    cancels; integer coefficients stay integers."""
+    out = {}
+    for m, c in terms.items():
+        e = m[pos]
+        if e:
+            out[m[:pos] + (e - 1,) + m[pos + 1 :]] = c * e
+    return out
 
 
 def apply_operator(op: DualForm, f: Polynomial) -> Polynomial:
@@ -279,17 +286,22 @@ def apply_operator(op: DualForm, f: Polynomial) -> Polynomial:
         raise ContextMismatchError("operator and operand contexts differ")
     out: dict[Monomial, Rational] = {}
     for me, ce in op.terms.items():
+        # an operator monomial touches only the variables it
+        # differentiates, so the per-term work is O(deg op), not O(n)
+        support = [(i, b) for i, b in enumerate(me) if b]
         for mf, cf in f.terms.items():
             factor = 1
-            for a, b in zip(mf, me):
-                if b:
-                    if a < b:
-                        factor = 0
-                        break
-                    factor *= math.perm(a, b)
+            for i, b in support:
+                if mf[i] < b:
+                    factor = 0
+                    break
+                factor *= math.perm(mf[i], b)
             if not factor:
                 continue
-            target = tuple(a - b for a, b in zip(mf, me))
+            target = list(mf)
+            for i, b in support:
+                target[i] -= b
+            target = tuple(target)
             out[target] = out.get(target, 0) + ce * cf * factor
     return Polynomial(f.context, out)
 

@@ -124,7 +124,9 @@ def naive_catalecticant_hilbert(forms):
 def naive_nullspace(rows, ncols):
     """Right kernel by Gauss-Jordan: one vector per free column, free
     columns ascending, 1 at the free column and 0 at the other free
-    columns."""
+    columns.  Each vector is a map ``{column: value}`` of its nonzero
+    entries in column order, so a kernel of ``ncols`` vectors (no rows,
+    as above the series degree) costs ``ncols`` entries, not ncols^2."""
     m = [[Fraction(x) for x in row] for row in rows]
     pivot_cols = []
     r = 0
@@ -145,22 +147,18 @@ def naive_nullspace(rows, ncols):
     for free in range(ncols):
         if free in pivot_cols:
             continue
-        v = [Fraction(0)] * ncols
+        v = {pc: -m[i][free] for i, pc in enumerate(pivot_cols) if m[i][free]}
         v[free] = Fraction(1)
-        for i, pc in enumerate(pivot_cols):
-            v[pc] = -m[i][free]
-        basis.append(v)
+        basis.append(dict(sorted(v.items())))
     return basis
 
 
 def naive_ideal_component(forms, t):
     """Degree-t annihilator piece as ``{exponents: coefficient}`` dicts:
-    the Gauss-Jordan kernel of the degree-t catalecticant."""
+    the Gauss-Jordan kernel of the degree-t catalecticant (which has no
+    rows for t > d)."""
     rows, cols = naive_catalecticant(forms, t)
-    return [
-        {m: c for m, c in zip(cols, v) if c}
-        for v in naive_nullspace(rows, len(cols))
-    ]
+    return [{cols[c]: x for c, x in v.items()} for v in naive_nullspace(rows, len(cols))]
 
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import apolar.apolarity
 from apolar import (
     DegreeRangeError,
     DualForm,
@@ -252,6 +253,22 @@ def test_generator_listing_matches_degree_counts():
                     assert apply_operator(g, f).is_zero
 
 
+def test_generator_listing_builds_no_piece_above_delta(monkeypatch):
+    # the listing follows the count, so a --max-degree far above delta
+    # must not build the (ever larger) annihilator pieces up there
+    W = build(parse_family("det:3"))
+    delta = minimal_generator_degrees(W).delta
+    true_component = apolar.apolarity.apolar_ideal_component
+
+    def guarded(series, t):
+        if t > delta:
+            raise AssertionError(f"annihilator piece built in degree {t} > delta = {delta}")
+        return true_component(series, t)
+
+    monkeypatch.setattr(apolar.apolarity, "apolar_ideal_component", guarded)
+    assert minimal_generators(W, max_degree=40) == minimal_generators(W)
+
+
 def test_delta_never_exceeds_degree_plus_one():
     rng = random.Random(5)
     for _ in range(15):
@@ -315,7 +332,7 @@ def test_colon_matches_derivative_annihilator():
 
 def test_colon_of_annihilating_divisor_is_everything():
     got = colon_component(series("x*y", XY), parse_dual_form("d_x^2", XY), 1)
-    assert len(got) == 2
+    assert got == [parse_dual_form("d_x", XY), parse_dual_form("d_y", XY)]
 
 
 def test_colon_rejects_bad_divisors():
@@ -498,6 +515,7 @@ from apolar import InvariantError, LinearSeries, parse_polynomial
 
 W = LinearSeries.of_form(parse_polynomial("x^3 + x*y^2"))
 true_layers = ap.LinearSeries._layers.func
+true_degrees = ap.minimal_generator_degrees
 
 
 class FakeLayer:
@@ -524,16 +542,27 @@ def shrunk_layer_2(self):
     return (a0, a1, ShrunkLayer(a2), a3)
 
 
+def overcounted(W):
+    gd = true_degrees(W)
+    return ap.GeneratorDegrees({t: k + 1 for t, k in gd.counts.items()}, gd.delta)
+
+
 # true layer dimensions: 1, 2, 2, 1
+series_cls = ap.LinearSeries
 cases = {
-    "hilbert_start": ("_layers", layers(0, 2, 2, 1), ap.hilbert_function),
-    "hilbert_cap": ("_layers", layers(1, 3, 2, 1), ap.hilbert_function),
-    "layer_top": ("_layers", layers(1, 2, 2, 2), ap.hilbert_function),
-    "layer_growth": ("_layers", layers(1, 0, 2, 1), ap.hilbert_function),
-    "generators": ("_layers", property(shrunk_layer_2), ap.minimal_generator_degrees),
+    "hilbert_start": (series_cls, "_layers", layers(0, 2, 2, 1), ap.hilbert_function),
+    "hilbert_cap": (series_cls, "_layers", layers(1, 3, 2, 1), ap.hilbert_function),
+    "layer_top": (series_cls, "_layers", layers(1, 2, 2, 2), ap.hilbert_function),
+    "layer_growth": (series_cls, "_layers", layers(1, 0, 2, 1), ap.hilbert_function),
+    "generators": (
+        series_cls, "_layers", property(shrunk_layer_2), ap.minimal_generator_degrees
+    ),
+    "generator_listing": (
+        ap, "minimal_generator_degrees", overcounted, ap.minimal_generators
+    ),
 }
-name, patched, fn = cases[sys.argv[1]]
-setattr(ap.LinearSeries, name, patched)
+owner, name, patched, fn = cases[sys.argv[1]]
+setattr(owner, name, patched)
 try:
     fn(W)
 except InvariantError as exc:
@@ -546,11 +575,16 @@ _EXPECTED_MESSAGE = {
     "layer_top": "top layer",
     "layer_growth": "partials of layer",
     "generators": "prolongation of layer 2",
+    "generator_listing": "but the prolongation counts",
 }
 
 
 @pytest.mark.parametrize(
-    "case", ["hilbert_start", "hilbert_cap", "layer_top", "layer_growth", "generators"]
+    "case",
+    [
+        "hilbert_start", "hilbert_cap", "layer_top", "layer_growth", "generators",
+        "generator_listing",
+    ],
 )
 def test_invariant_checks_survive_optimized_mode(case):
     src = str(Path(__file__).resolve().parent.parent / "src")

@@ -283,6 +283,14 @@ def test_apolar_gens_respects_max_degree(capsys):
     assert doc["delta"] == 2
 
 
+def test_apolar_gens_max_degree_above_delta_prints_the_default(capsys):
+    default = run_cli(capsys, "apolar-gens", "--form", "builtin:det:3")
+    assert default[0] == 0
+    assert run_cli(
+        capsys, "apolar-gens", "--form", "builtin:det:3", "--max-degree", "40"
+    ) == default
+
+
 # ----------------------------------------------------------------------
 # verify-decomposition
 

@@ -4,7 +4,9 @@
 the derivative layers of a series; ``oracles.naive_catalecticant`` builds
 the dense catalecticant from coefficients and factorials and takes its
 rank and Gauss-Jordan kernel.  The two routes share no code, and the
-kernel bases must agree vector for vector, term for term.
+kernel bases must agree vector for vector, term for term, up to two
+degrees above the series degree (where both are the monomial basis).
+``catalecticant_matrix`` must equal the oracle's matrix entry for entry.
 
 ``minimal_generator_degrees`` counts generators from two adjacent
 layers (the prolongation of A_{t-1}); ``oracles.naive_generator_degrees``
@@ -23,6 +25,7 @@ from apolar import (
     Polynomial,
     VarContext,
     apolar_ideal_component,
+    catalecticant_matrix,
     closed_form_hilbert,
     hilbert_function,
     minimal_generator_degrees,
@@ -33,6 +36,7 @@ from apolar import (
 from apolar.catalog import build
 from apolar.cli import main
 from oracles import (
+    naive_catalecticant,
     naive_catalecticant_hilbert,
     naive_generator_degrees,
     naive_ideal_component,
@@ -43,9 +47,17 @@ from oracles import (
 def check_against_oracle(W):
     forms = [f for f in W.forms if not f.is_zero]
     assert list(hilbert_function(W)) == naive_catalecticant_hilbert(forms)
-    for t in range(W.degree + 1):
+    for t in range(W.degree + 3):
         got = [psi.terms for psi in apolar_ideal_component(W, t)]
         assert got == naive_ideal_component(forms, t), f"degree {t}"
+
+
+def check_catalecticant_entries(W):
+    for t in range(W.degree + 1):
+        m = catalecticant_matrix(W, t)
+        rows, cols = naive_catalecticant(list(W.reduced_basis), t)
+        assert (m.rows, m.cols) == (len(rows), len(cols))
+        assert [list(m.row(i)) for i in range(m.rows)] == rows, f"degree {t}"
 
 
 @st.composite
@@ -79,6 +91,17 @@ ORACLE_FAMILIES = (
 @pytest.mark.parametrize("family", ORACLE_FAMILIES)
 def test_layers_match_catalecticant_oracle_on_families(family):
     check_against_oracle(build(parse_family(family)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_series())
+def test_catalecticant_entries_match_oracle_on_random_series(W):
+    check_catalecticant_entries(W)
+
+
+@pytest.mark.parametrize("family", ["det:3", "pf:2", "minors:2,3,2"])
+def test_catalecticant_entries_match_oracle_on_families(family):
+    check_catalecticant_entries(build(parse_family(family)))
 
 
 @pytest.mark.parametrize("family", ["det:5", "pf:5"])
