@@ -156,6 +156,10 @@ class LinearSeries:
             layers.append(below)
         return tuple(reversed(layers))
 
+    @cached_property
+    def _generator_degrees(self) -> GeneratorDegrees:
+        return _count_generators(self)
+
 
 def _partials(row, n: int):
     """The nonzero first partials of a sparse row."""
@@ -392,8 +396,13 @@ def minimal_generator_degrees(W: LinearSeries) -> GeneratorDegrees:
     independent row of A_{t-1}) minus the rank of their images.  P_t
     contains A_t, so ``dim P_t >= h(t)`` for every correct layer.  When
     A_{t-1} is all of R_{t-1} (always at t = 1, and in low degrees of
-    dense input) P_t is all of R_t, and nothing is eliminated.
+    dense input) P_t is all of R_t, and nothing is eliminated.  The count
+    is made once per series.
     """
+    return W._generator_degrees
+
+
+def _count_generators(W: LinearSeries) -> GeneratorDegrees:
     n = len(W.context)
     layers = W._layers
     counts: dict[int, int] = {}

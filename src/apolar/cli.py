@@ -15,6 +15,7 @@ verify-decomposition exits 0 whether the verdict is pass or fail.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -403,7 +404,9 @@ def _add_format(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then reused."""
     parser = argparse.ArgumentParser(
         prog="apolar",
         description="Exact apolarity computations and Waring/cactus rank bounds.",
@@ -468,8 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         sys.stdout.write(args.func(args))
     except CliError as exc:

@@ -14,8 +14,11 @@ Text grammar (whitespace insignificant)::
     coeff  := integer | integer '/' positive-integer
     factor := var ('^' positive-integer)?
     var    := name | name '[' index (',' index)* ']'
+    name   := [A-Za-z_][A-Za-z0-9_]*
 
-Dual forms use the same grammar with names prefixed ``d``: ``d[1,2]``
+Integers (coefficients, exponents, indices) are decimal digits.  Any
+other text is a :class:`ParseError` naming its line and column.  Dual
+forms use the same grammar with names prefixed ``d``: ``d[1,2]``
 differentiates ``x[1,2]`` and ``d_y[1,2]`` differentiates ``y[1,2]``.
 """
 
@@ -24,6 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -48,8 +52,9 @@ class ContextMismatchError(PolyError):
     pass
 
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_VAR_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\[(\d+(?:,\d+)*)\])?\Z")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NAME_RE = re.compile(_NAME + r"\Z")
+_VAR_RE = re.compile(rf"({_NAME})(?:\[(\d+(?:,\d+)*)\])?\Z")
 
 
 def canonical_var(base: str, indices: tuple[int, ...] | None = None) -> str:
@@ -461,52 +466,29 @@ def format_polynomial(f: Polynomial) -> str:
 # ----------------------------------------------------------------------
 # parsing
 
+# one alternative per token kind; the last one is any character that
+# starts no token.  ``\d`` is what ``int`` accepts (Unicode decimal
+# digits, so ``²`` is not a number)
+_TOKEN_RE = re.compile(
+    rf"(?P<NUM>\d+)|(?P<NAME>{_NAME})|(?P<SYM>[-+*/^\[\],])"
+    r"|(?P<NL>\n)|(?P<WS>[^\S\n]+)|(?P<BAD>.)"
+)
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # NUM, NAME, SYM, END
-    text: str
-    line: int
-    col: int
 
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """Tokens ``(kind, text, line, column)``, ending with an END token;
+    a symbol's kind is the symbol itself."""
     toks = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        start_col = col
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Token("NUM", text[i:j], line, start_col))
-            col += j - i
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Token("NAME", text[i:j], line, start_col))
-            col += j - i
-            i = j
-        elif ch in "+-*/^[],":
-            toks.append(_Token("SYM", ch, line, start_col))
-            col += 1
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    toks.append(_Token("END", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind, s, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "NL":
+            line, line_start = line + 1, m.end()
+        elif kind == "BAD":
+            raise ParseError(f"unexpected character {s!r}", line, col)
+        elif kind != "WS":
+            toks.append((s if kind == "SYM" else kind, s, line, col))
+    toks.append(("END", "", line, len(text) - line_start + 1))
     return toks
 
 
@@ -518,119 +500,94 @@ class _Parser:
         self.context = context
         self.seen: dict[str, None] = {}
 
-    def peek(self) -> _Token:
-        return self.toks[self.pos]
-
-    def take(self) -> _Token:
+    def take(self, kind: str):
+        """The next token if it has this kind (and consume it), else None."""
         tok = self.toks[self.pos]
+        if tok[0] != kind:
+            return None
         self.pos += 1
         return tok
 
-    def error(self, message: str, tok: _Token | None = None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col)
+    def error(self, message: str, tok=None):
+        _, _, line, col = tok or self.toks[self.pos]
+        raise ParseError(message, line, col)
 
-    def expect_sym(self, sym: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "SYM" or tok.text != sym:
-            self.error(f"expected {sym!r}, got {tok.text or 'end of input'!r}")
-        return self.take()
+    def expected(self, what: str):
+        got = self.toks[self.pos][1] or "end of input"
+        self.error(f"expected {what}, got {got!r}")
+
+    def integer(self, tok) -> int:
+        try:
+            return int(tok[1])
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            self.error(
+                f"integer too long: {len(tok[1])} digits "
+                f"(limit {sys.get_int_max_str_digits()})",
+                tok,
+            )
 
     # raw term list: (coefficient, [(var name, exponent), ...])
     def parse_terms(self) -> list[tuple[Rational, list[tuple[str, int]]]]:
         terms = []
-        sign = Fraction(1)
-        tok = self.peek()
-        if tok.kind == "SYM" and tok.text in "+-":
-            self.take()
-            sign = Fraction(-1) if tok.text == "-" else Fraction(1)
+        sign = self.take("-") or self.take("+")
         while True:
             coeff, factors = self._term()
-            terms.append((sign * coeff, factors))
-            tok = self.peek()
-            if tok.kind == "END":
-                break
-            if tok.kind == "SYM" and tok.text in "+-":
-                self.take()
-                sign = Fraction(-1) if tok.text == "-" else Fraction(1)
-                continue
-            self.error(f"expected '+', '-' or end of input, got {tok.text!r}")
-        return terms
+            terms.append((-coeff if sign and sign[0] == "-" else coeff, factors))
+            if self.toks[self.pos][0] == "END":
+                return terms
+            sign = self.take("-") or self.take("+")
+            if not sign:
+                self.expected("'+', '-' or end of input")
 
     def _term(self) -> tuple[Rational, list[tuple[str, int]]]:
-        tok = self.peek()
         factors: list[tuple[str, int]] = []
-        if tok.kind == "NUM":
-            coeff = self._coeff()
-        elif tok.kind == "NAME":
+        num = self.take("NUM")
+        if num:
+            coeff = self._coeff(num)
+        elif self.toks[self.pos][0] == "NAME":
             coeff = Fraction(1)
             factors.append(self._factor())
         else:
-            self.error(f"expected a term, got {tok.text or 'end of input'!r}")
-        while True:
-            tok = self.peek()
-            if tok.kind == "SYM" and tok.text == "*":
-                self.take()
-                factors.append(self._factor())
-            else:
-                break
+            self.expected("a term")
+        while self.take("*"):
+            factors.append(self._factor())
         return coeff, factors
 
-    def _coeff(self) -> Rational:
-        num = int(self.take().text)
-        tok = self.peek()
-        if tok.kind == "SYM" and tok.text == "/":
-            self.take()
-            dtok = self.peek()
-            if dtok.kind != "NUM":
-                self.error("expected a positive integer denominator")
-            den = int(self.take().text)
-            if den == 0:
-                self.error("denominator must be a positive integer", dtok)
-            return Fraction(num, den)
-        return Fraction(num)
+    def _coeff(self, num) -> Rational:
+        value = self.integer(num)
+        if not self.take("/"):
+            return Fraction(value)
+        den = self.take("NUM")
+        if not den:
+            self.error("expected a positive integer denominator")
+        den_value = self.integer(den)
+        if not den_value:
+            self.error("denominator must be a positive integer", den)
+        return Fraction(value, den_value)
 
     def _factor(self) -> tuple[str, int]:
         name = self._var()
-        tok = self.peek()
-        if tok.kind == "SYM" and tok.text == "^":
-            self.take()
-            etok = self.peek()
-            if etok.kind == "SYM" and etok.text == "-":
-                self.error("exponent must be a positive integer", etok)
-            if etok.kind != "NUM":
-                self.error(f"expected an exponent, got {etok.text or 'end of input'!r}")
-            self.take()
-            exp = int(etok.text)
-            if exp == 0:
-                self.error("exponent must be a positive integer, got 0", etok)
-            return name, exp
-        return name, 1
+        if not self.take("^"):
+            return name, 1
+        if self.toks[self.pos][0] == "-":
+            self.error("exponent must be a positive integer")
+        etok = self.take("NUM") or self.expected("an exponent")
+        exp = self.integer(etok)
+        if not exp:
+            self.error("exponent must be a positive integer, got 0", etok)
+        return name, exp
 
     def _var(self) -> str:
-        tok = self.peek()
-        if tok.kind != "NAME":
-            self.error(f"expected a variable, got {tok.text or 'end of input'!r}")
-        self.take()
+        tok = self.take("NAME") or self.expected("a variable")
         indices: tuple[int, ...] | None = None
-        nxt = self.peek()
-        if nxt.kind == "SYM" and nxt.text == "[":
-            self.take()
+        if self.take("["):
             idx = []
-            while True:
-                itok = self.peek()
-                if itok.kind != "NUM":
-                    self.error(f"expected an index, got {itok.text or 'end of input'!r}")
-                self.take()
-                idx.append(int(itok.text))
-                sep = self.peek()
-                if sep.kind == "SYM" and sep.text == ",":
-                    self.take()
-                    continue
-                self.expect_sym("]")
-                break
+            while not idx or self.take(","):
+                idx.append(self.integer(self.take("NUM") or self.expected("an index")))
+            if not self.take("]"):
+                self.expected("']'")
             indices = tuple(idx)
-        name = canonical_var(tok.text, indices)
+        name = canonical_var(tok[1], indices)
         if self.dual:
             try:
                 name = primal_name(name)

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from apolar.cli import fmt_cell, main
+from apolar import apolarity
+from apolar.cli import build_parser, fmt_cell, main
 from fractions import Fraction
 
 
@@ -205,6 +206,26 @@ def test_bounds_form_file_with_syntax_error_exits_1(tmp_path, capsys):
     assert "positive" in err
 
 
+@pytest.mark.parametrize(
+    "text, col, message",
+    [
+        ("x^²", 3, "unexpected character '²'"),
+        ("é*x", 1, "unexpected character 'é'"),
+        (
+            "1" * 5000 + "*x", 1,
+            f"integer too long: 5000 digits (limit {sys.get_int_max_str_digits()})",
+        ),
+    ],
+    ids=["superscript-exponent", "non-ascii-name", "5000-digit-coefficient"],
+)
+def test_malformed_form_file_exits_1_with_position(tmp_path, capsys, text, col, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text + "\n", encoding="utf-8")
+    assert run_cli(capsys, "hilbert", "--form", str(path)) == (
+        1, "", f"error: {path}: line 1, column {col}: {message}\n"
+    )
+
+
 def test_bounds_zero_form_file_exits_2(tmp_path, capsys):
     path = tmp_path / "zero.txt"
     path.write_text("0\n", encoding="utf-8")
@@ -289,6 +310,19 @@ def test_apolar_gens_max_degree_above_delta_prints_the_default(capsys):
     assert run_cli(
         capsys, "apolar-gens", "--form", "builtin:det:3", "--max-degree", "40"
     ) == default
+
+
+def test_apolar_gens_counts_generators_once(monkeypatch, capsys):
+    calls = []
+    count = apolarity._count_generators
+
+    def counted(W):
+        calls.append(W)
+        return count(W)
+
+    monkeypatch.setattr(apolarity, "_count_generators", counted)
+    assert run_cli(capsys, "apolar-gens", "--form", "builtin:pf:3")[0] == 0
+    assert len(calls) == 1
 
 
 # ----------------------------------------------------------------------
@@ -792,3 +826,16 @@ def test_golden_output(tmp_path, monkeypatch, capsys, argv, fmt):
     (tmp_path / "fail.dec").write_text("1 ; x[1] + x[2] + x[3]\n", encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     assert run_cli(capsys, *argv, "--format", fmt) == (0, GOLDEN[argv][fmt], "")
+
+
+def test_golden_output_survives_a_reused_parser(tmp_path, monkeypatch, capsys):
+    # one parser serves every call of main in a process: no call may
+    # leave state behind that changes the next one
+    (tmp_path / "pass.dec").write_text(INTRO_DEC_3, encoding="utf-8")
+    (tmp_path / "fail.dec").write_text("1 ; x[1] + x[2] + x[3]\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert build_parser() is build_parser()
+    for _ in range(2):
+        for argv, outputs in GOLDEN.items():
+            assert run_cli(capsys, *argv) == (0, outputs["markdown"], "")
+            assert run_cli(capsys, *argv, "--format", "json") == (0, outputs["json"], "")

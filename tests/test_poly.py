@@ -1,7 +1,8 @@
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apolar import (
@@ -123,6 +124,81 @@ def test_parse_dual_rejects_non_dual_names():
     ctx = VarContext.of("x")
     with pytest.raises(ParseError):
         parse_dual_form("e[1]", ctx)
+
+
+GRID = VarContext.of("x[1,1]", "x[1,2]", "y[1]")
+
+# (text, context or None, dual?, message after the position, line, column)
+PARSE_ERRORS = [
+    ("x + (y)", None, False, "unexpected character '('", 1, 5),
+    ("x + *y", None, False, "expected a term, got '*'", 1, 5),
+    ("x +", None, False, "expected a term, got 'end of input'", 1, 4),
+    ("", None, False, "expected a term, got 'end of input'", 1, 1),
+    ("x y", None, False, "expected '+', '-' or end of input, got 'y'", 1, 3),
+    ("1/x", None, False, "expected a positive integer denominator", 1, 3),
+    ("1/", None, False, "expected a positive integer denominator", 1, 3),
+    ("3/0*x", None, False, "denominator must be a positive integer", 1, 3),
+    ("x^-2", None, False, "exponent must be a positive integer", 1, 3),
+    ("x^", None, False, "expected an exponent, got 'end of input'", 1, 3),
+    ("x^y", None, False, "expected an exponent, got 'y'", 1, 3),
+    ("x^0", None, False, "exponent must be a positive integer, got 0", 1, 3),
+    ("2*3", None, False, "expected a variable, got '3'", 1, 3),
+    ("x*", None, False, "expected a variable, got 'end of input'", 1, 3),
+    ("x[", None, False, "expected an index, got 'end of input'", 1, 3),
+    ("x[1,]", None, False, "expected an index, got ']'", 1, 5),
+    ("x[1 2]", None, False, "expected ']', got '2'", 1, 5),
+    ("x[1", None, False, "expected ']', got 'end of input'", 1, 4),
+    (
+        "e[1]", GRID, True,
+        "dual variable must be named 'd' or 'd_<name>', got 'e[1]'", 1, 1,
+    ),
+    ("x + w", XY, False, "unknown variable 'w'", 1, 5),
+    ("d[1,1] + d[2,2]", GRID, True, "unknown variable 'd[2,2]'", 1, 10),
+    ("d_y[2]", GRID, True, "unknown variable 'd_y[2]'", 1, 1),
+    ("x +\n  y ^ 0", None, False, "exponent must be a positive integer, got 0", 2, 7),
+    ("x +\n  y z", None, False, "expected '+', '-' or end of input, got 'z'", 2, 5),
+    ("x +\n", None, False, "expected a term, got 'end of input'", 2, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "text, ctx, dual, message, line, col", PARSE_ERRORS, ids=[c[0] for c in PARSE_ERRORS]
+)
+def test_parse_error_message_and_position(text, ctx, dual, message, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_dual_form(text, ctx) if dual else p(text, ctx)
+    assert str(err.value) == f"line {line}, column {col}: {message}"
+    assert (err.value.line, err.value.col) == (line, col)
+
+
+def test_overlong_numeral_is_a_parse_error_at_its_position():
+    digits = "7" * 5000
+    with pytest.raises(ParseError) as err:
+        p(f"x +\n  {digits}*x")
+    limit = sys.get_int_max_str_digits()
+    assert str(err.value) == (
+        f"line 2, column 3: integer too long: 5000 digits (limit {limit})"
+    )
+    assert (err.value.line, err.value.col) == (2, 3)
+
+
+# grammar characters mixed with any Unicode character
+_GRAMMAR_CHARS = st.sampled_from(list("xyd_[],+-*/^0123456789 \n"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.one_of(_GRAMMAR_CHARS, st.characters()), max_size=20))
+@example("x^²")
+@example("é*x")
+@example("1/٣*x^٢")
+@example("d_é")
+@example("9" * 5000 + "*x")
+def test_malformed_text_raises_only_parse_error(text):
+    for parse in (p, lambda s: p(s, GRID), lambda s: parse_dual_form(s, GRID)):
+        try:
+            parse(text)
+        except ParseError:
+            pass
 
 
 # ----------------------------------------------------------------------
