@@ -194,10 +194,6 @@ class HilbertFunction:
     def total(self) -> int:
         return sum(self.dims)
 
-    @property
-    def top_degree(self) -> int:
-        return len(self.dims) - 1
-
     def __getitem__(self, t: int) -> int:
         return self.dims[t]
 
@@ -237,6 +233,13 @@ def catalecticant_matrix(W: LinearSeries, t: int) -> QMatrix:
     return QMatrix.from_rows(data)
 
 
+def layer_bound(n: int, d: int, k: int, t: int) -> int:
+    """A-priori bound on h(t) for k forms of degree d in n variables: A_t
+    lies in the degree-t forms and is spanned by the (d-t)-th partials
+    of the k forms."""
+    return min(math.comb(n + t - 1, t), k * math.comb(n + d - t - 1, d - t))
+
+
 def hilbert_function(W: LinearSeries) -> HilbertFunction:
     """dims[t] = dim A_t, the degree-t derivative layer, t = 0..d (equal
     to the rank of the degree-t catalecticant)."""
@@ -249,7 +252,7 @@ def hilbert_function(W: LinearSeries) -> HilbertFunction:
     if dims[d] != k:
         raise InvariantError(f"top layer has dimension {dims[d]}, not dim W = {k}")
     for t in range(d + 1):
-        cap = min(math.comb(n + t - 1, t), k * math.comb(n + d - t - 1, d - t))
+        cap = layer_bound(n, d, k, t)
         if dims[t] > cap:
             raise InvariantError(f"Hilbert function value {dims[t]} at t={t} exceeds {cap}")
         if t and dims[t - 1] > n * dims[t]:
@@ -471,8 +474,9 @@ def colon_component(W: LinearSeries, theta: DualForm, t: int) -> list[DualForm]:
     with theta (of degree e) is orthogonal to the layer A_{t+e}: the
     kernel of :func:`_pairing`.  No derivative series is formed and its
     annihilator is not used, so this can be compared against it as an
-    independent identity check.  Returned as the reduced-echelon basis
-    of the piece.
+    independent identity check.  Returned in the basis that
+    :func:`apolar_ideal_component` uses (the reduced-echelon kernel basis),
+    so the colon by 1 is the annihilator piece itself.
     """
     if not isinstance(theta, DualForm) or theta.context != W.context:
         raise ContextMismatchError("colon divisor must be a DualForm over the same context")
@@ -484,13 +488,7 @@ def colon_component(W: LinearSeries, theta: DualForm, t: int) -> list[DualForm]:
         raise DegreeRangeError("degree must be non-negative")
     ctx = W.context
     pairing = _pairing(W, theta.terms, t + theta.homogeneous_degree())
-    colon = SpanBuilder()
-    for v in pairing.kernel(monomial_basis(ctx, t)):
-        colon.add(v)
-    return [
-        DualForm(ctx, dict(sorted(row.items(), reverse=True)))
-        for row in colon.reduced_rows()
-    ]
+    return [DualForm(ctx, v) for v in pairing.kernel(monomial_basis(ctx, t))]
 
 
 def quotient_length_with_linear(W: LinearSeries, partial: DualForm) -> int:

@@ -21,6 +21,10 @@ Families
 Skew and symmetric matrices are represented on their independent
 coordinates only, which is what the closed-form dimension counts refer
 to.
+
+Each family is one record in ``_FAMILIES``, read by the spec checks,
+``build``, ``canonical_partial_text`` and ``closed_form_hilbert``; each
+reference table is one entry of ``_TABLES``.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .apolarity import (
     HilbertFunction,
@@ -54,8 +59,6 @@ from .poly import (
     parse_dual_form,
 )
 
-FAMILIES = ("det", "perm", "pf", "symdet", "monprod", "minors", "matmul")
-
 
 class NoClosedFormError(ValueError):
     pass
@@ -67,24 +70,20 @@ class FamilySpec:
     params: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
+        if self.family not in _FAMILIES:
             raise ValueError(
-                f"unknown family {self.family!r}; expected one of {', '.join(FAMILIES)}"
+                f"unknown family {self.family!r}; expected one of {', '.join(_FAMILIES)}"
             )
         if any(p < 1 for p in self.params):
             raise ValueError("family parameters must be positive")
-        if self.family in ("det", "perm", "pf", "symdet", "monprod"):
-            if len(self.params) != 1:
-                raise ValueError(f"{self.family} takes one parameter")
-        elif self.family == "minors":
-            if len(self.params) != 3:
-                raise ValueError("minors takes parameters M,N,D")
+        names = _FAMILIES[self.family].params
+        if len(self.params) != len(names.split(",")):
+            usage = f"parameters {names}" if "," in names else "one parameter"
+            raise ValueError(f"{self.family} takes {usage}")
+        if self.family == "minors":
             m, n, d = self.params
             if not (d <= m <= n):
                 raise ValueError("minors parameters must satisfy D <= M <= N")
-        elif self.family == "matmul":
-            if len(self.params) != 3:
-                raise ValueError("matmul takes parameters P,Q,R")
 
     @property
     def id(self) -> str:
@@ -276,48 +275,8 @@ def build_matmul_series(p: int, q: int, r: int) -> list[Polynomial]:
     return forms
 
 
-def build(spec: FamilySpec) -> LinearSeries:
-    """Exact polynomial construction of a builtin family."""
-    if spec.family == "det":
-        return LinearSeries.of_form(build_determinant(spec.params[0]))
-    if spec.family == "perm":
-        return LinearSeries.of_form(build_permanent(spec.params[0]))
-    if spec.family == "pf":
-        return LinearSeries.of_form(build_pfaffian(spec.params[0]))
-    if spec.family == "symdet":
-        return LinearSeries.of_form(build_symmetric_determinant(spec.params[0]))
-    if spec.family == "monprod":
-        return LinearSeries.of_form(build_monomial_product(spec.params[0]))
-    if spec.family == "minors":
-        return LinearSeries.of_forms(build_minors_series(*spec.params))
-    if spec.family == "matmul":
-        return LinearSeries.of_forms(build_matmul_series(*spec.params))
-    raise AssertionError(spec.family)
-
-
-def canonical_partial_text(spec: FamilySpec) -> str:
-    """The distinguished derivative direction for each family (the one
-    whose orbit under the family's symmetry group spans the dual space)."""
-    if spec.family in ("det", "perm", "minors"):
-        return "d[1,1]"
-    if spec.family == "pf":
-        return "d[1,2]"
-    if spec.family == "symdet":
-        n = spec.params[0]
-        return f"d[{n},{n}]"
-    if spec.family == "monprod":
-        return "d[1]"
-    if spec.family == "matmul":
-        return "d_x[1,1] + d_y[1,1]"
-    raise AssertionError(spec.family)
-
-
-def canonical_partial(spec: FamilySpec, W: LinearSeries) -> DualForm:
-    return parse_dual_form(canonical_partial_text(spec), W.context)
-
-
 # ----------------------------------------------------------------------
-# closed forms
+# closed forms and the family records
 
 
 def catalan(n: int) -> int:
@@ -339,38 +298,58 @@ def double_factorial(n: int) -> int:
     return out
 
 
+@dataclass(frozen=True)
+class _Family:
+    """One family: its parameter names, its builder (parameters -> forms),
+    the text of its distinguished derivative direction (formatted with the
+    parameters), and its closed-form Hilbert function, or None."""
+
+    params: str
+    build: Callable[..., list[Polynomial]]
+    direction: str
+    hilbert: Callable[..., tuple[int, ...]] | None
+
+
+# symdet: the Narayana row of n+1; the permanent has no known closed form.
+_FAMILIES = {
+    "det": _Family("N", lambda n: [build_determinant(n)], "d[1,1]",
+                   lambda n: tuple(math.comb(n, t) ** 2 for t in range(n + 1))),
+    "perm": _Family("N", lambda n: [build_permanent(n)], "d[1,1]", None),
+    "pf": _Family("N", lambda n: [build_pfaffian(n)], "d[1,2]",
+                  lambda n: tuple(math.comb(2 * n, 2 * t) for t in range(n + 1))),
+    "symdet": _Family("N", lambda n: [build_symmetric_determinant(n)], "d[{0},{0}]",
+                      lambda n: tuple(narayana(n + 1, t + 1) for t in range(n + 1))),
+    "monprod": _Family("N", lambda n: [build_monomial_product(n)], "d[1]",
+                       lambda n: tuple(math.comb(n, t) for t in range(n + 1))),
+    "minors": _Family("M,N,D", build_minors_series, "d[1,1]",
+                      lambda m, n, d: tuple(math.comb(m, t) * math.comb(n, t)
+                                            for t in range(d + 1))),
+    "matmul": _Family("P,Q,R", build_matmul_series, "d_x[1,1] + d_y[1,1]",
+                      lambda p, q, r: (1, p * q + q * r, p * r)),
+}
+
+
+def build(spec: FamilySpec) -> LinearSeries:
+    """Exact polynomial construction of a builtin family."""
+    return LinearSeries.of_forms(_FAMILIES[spec.family].build(*spec.params))
+
+
+def canonical_partial_text(spec: FamilySpec) -> str:
+    """The distinguished derivative direction of the family (the one whose
+    orbit under the family's symmetry group spans the dual space)."""
+    return _FAMILIES[spec.family].direction.format(*spec.params)
+
+
+def canonical_partial(spec: FamilySpec, W: LinearSeries) -> DualForm:
+    return parse_dual_form(canonical_partial_text(spec), W.context)
+
+
 def closed_form_hilbert(spec: FamilySpec) -> HilbertFunction:
-    """Formula values of the Hilbert function, no polynomial arithmetic.
-
-    det:     C(n,t)^2                    pf:      C(2n, 2t)
-    symdet:  Narayana numbers N(n+1,t+1) monprod: C(n,t)
-    minors:  C(m,t)*C(n,t), t <= d       matmul:  (1, pq+qr, pr)
-
-    The symmetric determinant values are the Narayana row of n+1 (their
-    sum is the Catalan number C_{n+1}), which matches the brute-force
-    computation; the permanent has no known closed form.
-    """
-    if spec.family == "det":
-        n = spec.params[0]
-        return HilbertFunction(tuple(math.comb(n, t) ** 2 for t in range(n + 1)))
-    if spec.family == "pf":
-        n = spec.params[0]
-        return HilbertFunction(tuple(math.comb(2 * n, 2 * t) for t in range(n + 1)))
-    if spec.family == "symdet":
-        n = spec.params[0]
-        return HilbertFunction(tuple(narayana(n + 1, t + 1) for t in range(n + 1)))
-    if spec.family == "monprod":
-        n = spec.params[0]
-        return HilbertFunction(tuple(math.comb(n, t) for t in range(n + 1)))
-    if spec.family == "minors":
-        m, n, d = spec.params
-        return HilbertFunction(
-            tuple(math.comb(m, t) * math.comb(n, t) for t in range(d + 1))
-        )
-    if spec.family == "matmul":
-        p, q, r = spec.params
-        return HilbertFunction((1, p * q + q * r, p * r))
-    raise NoClosedFormError(f"no closed-form Hilbert function for {spec.family!r}")
+    """Formula values of the Hilbert function, no polynomial arithmetic."""
+    hilbert = _FAMILIES[spec.family].hilbert
+    if hilbert is None:
+        raise NoClosedFormError(f"no closed-form Hilbert function for {spec.family!r}")
+    return HilbertFunction(hilbert(*spec.params))
 
 
 # ----------------------------------------------------------------------
@@ -399,75 +378,44 @@ class TableDoc:
     rows: tuple[TableRow, ...]
 
 
-def _det_column(n: int) -> dict[str, Rational]:
-    sylv = math.comb(n, n // 2) ** 2
-    return {
-        LABEL_SYLVESTER: Fraction(sylv),
-        LABEL_LT: Fraction(landsberg_teitler_det(n)),
-        LABEL_RSS: Fraction(math.comb(2 * n, n), 2),
-        LABEL_DERIVATIVE: Fraction(math.comb(2 * n, n) - math.comb(2 * n - 2, n - 1)),
-        LABEL_CR_UPPER: Fraction(math.comb(2 * n, n) - 2),
-        LABEL_R_UPPER: Fraction(5, 6) ** (n // 3) * (2 ** (n - 1)) * math.factorial(n),
-    }
-
-
-def _pf_column(n: int) -> dict[str, Rational]:
-    return {
-        LABEL_SYLVESTER: Fraction(math.comb(2 * n, 2 * (n // 2))),
-        LABEL_RSS: Fraction(2 ** (2 * n - 2)),
-        LABEL_DERIVATIVE: Fraction(3 * 2 ** (2 * n - 3)),
-        LABEL_CR_UPPER: Fraction(2 ** (2 * n - 1)),
-        LABEL_R_UPPER: Fraction(double_factorial(2 * n - 1) * 2 ** (n - 1)),
-    }
-
-
-def _symdet_column(n: int) -> dict[str, Rational]:
-    return {
-        LABEL_SYLVESTER: Fraction(max(narayana(n + 1, t + 1) for t in range(n + 1))),
-        LABEL_RSS: Fraction(catalan(n + 1), 2),
-        LABEL_DERIVATIVE: Fraction(catalan(n + 1) - catalan(n)),
-        LABEL_CR_UPPER: Fraction(catalan(n + 1)),
-    }
-
-
-_TABLE_LAYOUT = {
+# family -> its rows, in order: (label, kind, closed form in n)
+_TABLES = {
     "det": (
-        (LABEL_SYLVESTER, KIND_LOWER_CACTUS),
-        (LABEL_LT, KIND_LOWER_WARING),
-        (LABEL_RSS, KIND_LOWER_CACTUS),
-        (LABEL_DERIVATIVE, KIND_LOWER_CACTUS),
-        (LABEL_CR_UPPER, KIND_UPPER_CACTUS),
-        (LABEL_R_UPPER, KIND_UPPER_WARING),
+        (LABEL_SYLVESTER, KIND_LOWER_CACTUS, lambda n: math.comb(n, n // 2) ** 2),
+        (LABEL_LT, KIND_LOWER_WARING, landsberg_teitler_det),
+        (LABEL_RSS, KIND_LOWER_CACTUS, lambda n: Fraction(math.comb(2 * n, n), 2)),
+        (LABEL_DERIVATIVE, KIND_LOWER_CACTUS,
+         lambda n: math.comb(2 * n, n) - math.comb(2 * n - 2, n - 1)),
+        (LABEL_CR_UPPER, KIND_UPPER_CACTUS, lambda n: math.comb(2 * n, n) - 2),
+        (LABEL_R_UPPER, KIND_UPPER_WARING,
+         lambda n: Fraction(5, 6) ** (n // 3) * 2 ** (n - 1) * math.factorial(n)),
     ),
     "pf": (
-        (LABEL_SYLVESTER, KIND_LOWER_CACTUS),
-        (LABEL_RSS, KIND_LOWER_CACTUS),
-        (LABEL_DERIVATIVE, KIND_LOWER_CACTUS),
-        (LABEL_CR_UPPER, KIND_UPPER_CACTUS),
-        (LABEL_R_UPPER, KIND_UPPER_WARING),
+        (LABEL_SYLVESTER, KIND_LOWER_CACTUS, lambda n: math.comb(2 * n, 2 * (n // 2))),
+        (LABEL_RSS, KIND_LOWER_CACTUS, lambda n: 2 ** (2 * n - 2)),
+        (LABEL_DERIVATIVE, KIND_LOWER_CACTUS, lambda n: 3 * 2 ** (2 * n - 3)),
+        (LABEL_CR_UPPER, KIND_UPPER_CACTUS, lambda n: 2 ** (2 * n - 1)),
+        (LABEL_R_UPPER, KIND_UPPER_WARING, lambda n: double_factorial(2 * n - 1) * 2 ** (n - 1)),
     ),
     "symdet": (
-        (LABEL_SYLVESTER, KIND_LOWER_CACTUS),
-        (LABEL_RSS, KIND_LOWER_CACTUS),
-        (LABEL_DERIVATIVE, KIND_LOWER_CACTUS),
-        (LABEL_CR_UPPER, KIND_UPPER_CACTUS),
+        (LABEL_SYLVESTER, KIND_LOWER_CACTUS, lambda n: narayana(n + 1, n // 2 + 1)),
+        (LABEL_RSS, KIND_LOWER_CACTUS, lambda n: Fraction(catalan(n + 1), 2)),
+        (LABEL_DERIVATIVE, KIND_LOWER_CACTUS, lambda n: catalan(n + 1) - catalan(n)),
+        (LABEL_CR_UPPER, KIND_UPPER_CACTUS, lambda n: catalan(n + 1)),
     ),
 }
-
-_TABLE_COLUMNS = {"det": _det_column, "pf": _pf_column, "symdet": _symdet_column}
 
 
 def closed_form_table(family: str, n_max: int) -> TableDoc:
     """Closed-form bound table for n = 2..n_max."""
-    if family not in _TABLE_LAYOUT:
+    if family not in _TABLES:
         raise ValueError(f"no reference table for family {family!r}")
     if n_max < 2:
         raise ValueError("table needs n_max >= 2")
     ns = tuple(range(2, n_max + 1))
-    columns = [_TABLE_COLUMNS[family](n) for n in ns]
     rows = tuple(
-        TableRow(label, kind, tuple(col[label] for col in columns))
-        for label, kind in _TABLE_LAYOUT[family]
+        TableRow(label, kind, tuple(Fraction(value(n)) for n in ns))
+        for label, kind, value in _TABLES[family]
     )
     return TableDoc(family, ns, rows)
 

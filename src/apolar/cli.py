@@ -8,8 +8,8 @@ line (several lines make a linear series).  Output formats: markdown
 output.
 
 Exit codes: 0 success, 1 parse failure (bad polynomial text, bad dual
-form, unreadable file), 2 invalid parameters.  A completed
-verify-decomposition exits 0 whether the verdict is pass or fail.
+form, unreadable file), 2 invalid parameters or an oversized form file.
+A completed verify-decomposition exits 0 whether the verdict is pass or fail.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .apolarity import (
     LinearSeries,
     NoVariablesError,
     hilbert_function,
+    layer_bound,
     minimal_generator_degrees,
     minimal_generators,
 )
@@ -41,6 +42,7 @@ from .poly import (
 )
 
 VERIFY_N_CAP = 4  # verify mode recomputes columns up to this n
+MAX_LENGTH_BOUND = 500_000  # form files whose apolar length may be larger exit 2
 
 
 class CliError(Exception):
@@ -97,6 +99,16 @@ def load_series(src: str) -> tuple[LinearSeries, str, FamilySpec | None]:
         raise CliError(f"error: form file {src!r} has no variables", 2) from exc
     except ValueError as exc:
         raise CliError(f"error: {src}: {exc}", 2) from exc
+    d = W.degree
+    terms = (layer_bound(len(W.context), d, W.dim, t) for t in range(d + 1))
+    # h(t) >= 1 for t = 0..d, so a degree past the limit needs no sum
+    bound = d + 1 if d >= MAX_LENGTH_BOUND else sum(terms)
+    if bound > MAX_LENGTH_BOUND:
+        raise CliError(
+            f"error: form file {src!r} is too large: its apolar length may reach "
+            f"{bound}, over the limit of {MAX_LENGTH_BOUND}",
+            2,
+        )
     return W, src, None
 
 
@@ -429,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("table", help="reference bound tables")
-    p.add_argument("family", choices=("det", "pf", "symdet"))
+    p.add_argument("family", choices=tuple(catalog._TABLES))
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument(
         "--mode",

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from apolar import catalog
 from apolar import (
     NoClosedFormError,
     apply_operator,
@@ -46,6 +47,47 @@ def test_family_parsing_and_validation():
     for bad in ("det", "det:", "det:x", "nosuch:3", "minors:3,2,3", "det:0", "pf:2,2"):
         with pytest.raises(ValueError):
             parse_family(bad)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "nosuch:3",
+            "unknown family 'nosuch'; expected one of "
+            "det, perm, pf, symdet, monprod, minors, matmul",
+        ),
+        ("det", "malformed form id 'det'; expected family:params"),
+        ("det:", "malformed form id 'det:'; expected family:params"),
+        ("det:x", "malformed parameters 'x' in form id 'det:x'"),
+        ("det:0", "family parameters must be positive"),
+        ("pf:2,2", "pf takes one parameter"),
+        ("minors:3,3", "minors takes parameters M,N,D"),
+        ("minors:3,2,3", "minors parameters must satisfy D <= M <= N"),
+        ("matmul:1,2", "matmul takes parameters P,Q,R"),
+    ],
+)
+def test_family_error_messages(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_family(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("size", [1, 2])
+@pytest.mark.parametrize("family", list(catalog._FAMILIES))
+def test_every_family_record(family, size):
+    """Each record builds, names a linear direction over its own context,
+    and its closed form (if any) is the computed Hilbert function."""
+    arity = len(catalog._FAMILIES[family].params.split(","))
+    spec = FamilySpec(family, (size,) * arity)
+    W = build(spec)
+    partial = canonical_partial(spec, W)
+    assert partial.context == W.context and partial.is_linear_form()
+    if family == "perm":
+        with pytest.raises(NoClosedFormError):
+            closed_form_hilbert(spec)
+    else:
+        assert closed_form_hilbert(spec) == hilbert_function(W)
 
 
 def test_determinant_term_count_and_degree():
@@ -162,8 +204,9 @@ def test_closed_form_hilbert_values():
 
 
 def test_closed_form_hilbert_permanent_errors():
-    with pytest.raises(NoClosedFormError):
+    with pytest.raises(NoClosedFormError) as exc:
         closed_form_hilbert(parse_family("perm:3"))
+    assert str(exc.value) == "no closed-form Hilbert function for 'perm'"
 
 
 def test_oracle_agreement_small_sizes():

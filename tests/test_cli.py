@@ -1,11 +1,12 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from apolar import apolarity
+from apolar import apolarity, cli
 from apolar.cli import build_parser, fmt_cell, main
 from fractions import Fraction
 
@@ -244,6 +245,57 @@ def test_form_file_without_variables_exits_2(tmp_path, capsys, command):
     code, out, err = run_cli(capsys, command, "--form", str(path), *extra)
     assert code == 2 and out == ""
     assert err == f"error: form file {str(path)!r} has no variables\n"
+
+
+@pytest.mark.parametrize(
+    "text, limit, bound",
+    [
+        # n=2, d=3, k=1: h(t) <= min(t+1, 4-t), so 1 + 2 + 2 + 1
+        ("x^2*y\n", 5, 6),
+        # the bound counts the independent forms: k=2 gives 1 + 2 + 3 + 2
+        ("x^2*y\nx*y^2\n", 7, 8),
+        ("x^2*y\n2*x^2*y\n", 5, 6),
+        # a degree at the limit is refused by h(t) >= 1 alone
+        ("x^2*y\n", 3, 4),
+    ],
+)
+def test_form_file_over_the_length_bound_exits_2(
+    tmp_path, monkeypatch, capsys, text, limit, bound
+):
+    path = tmp_path / "form.txt"
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(cli, "MAX_LENGTH_BOUND", limit)
+    code, out, err = run_cli(capsys, "hilbert", "--form", str(path))
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: form file {str(path)!r} is too large: its apolar length may reach "
+        f"{bound}, over the limit of {limit}\n"
+    )
+
+
+def test_form_file_at_the_length_bound_runs(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "form.txt"
+    path.write_text("x^2*y\n", encoding="utf-8")
+    monkeypatch.setattr(cli, "MAX_LENGTH_BOUND", 6)
+    code, out, _ = run_cli(capsys, "hilbert", "--form", str(path))
+    assert code == 0 and "[1, 2, 2, 1]" in out
+
+
+def test_high_degree_form_file_exits_2_before_any_layer(tmp_path, capsys):
+    path = tmp_path / "big.txt"
+    path.write_text("x^2000*y^2000\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "hilbert", "--form", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "may reach 4004001, over the limit" in err
+
+
+def test_one_variable_degree_20000_is_under_the_length_bound(tmp_path):
+    path = tmp_path / "power.txt"
+    path.write_text("x^20000\n", encoding="utf-8")
+    W, _, _ = cli.load_series(str(path))
+    assert W.degree == 20000
 
 
 def test_bounds_series_file(tmp_path, capsys):
