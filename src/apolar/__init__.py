@@ -28,7 +28,6 @@ from .poly import (
     dehomogenize,
     evaluate_decomposition,
     format_polynomial,
-    homogenize,
     monomial_basis,
     parse_dual_form,
     parse_polynomial,
@@ -66,7 +65,6 @@ from .bounds import (
     generic_derivative_bound,
     generic_derivative_trials,
     landsberg_teitler_det,
-    leading_coefficient_bound,
     ranestad_schreyer_bound,
     sylvester_bound,
 )

@@ -212,35 +212,6 @@ def generic_derivative_bound(W: LinearSeries, trials: int = 5, seed: int = 0) ->
     return min(v for _, v in generic_derivative_trials(W, trials, seed))
 
 
-def leading_coefficient_form(F: Polynomial, var_pos: int) -> tuple[int, Polynomial]:
-    """Top power k of the chosen variable and the coefficient form of
-    its k-th power (a polynomial free of that variable)."""
-    if F.is_zero:
-        raise ValueError("the zero form has no leading coefficient")
-    if not F.is_homogeneous():
-        raise ValueError("expected a homogeneous form")
-    k = max(m[var_pos] for m in F.terms)
-    if k == 0:
-        raise ValueError("the chosen variable does not occur in the form")
-    terms = {
-        m[:var_pos] + (0,) + m[var_pos + 1 :]: c
-        for m, c in F.terms.items()
-        if m[var_pos] == k
-    }
-    return k, Polynomial(F.context, terms)
-
-
-def leading_coefficient_bound(F: Polynomial, var_pos: int) -> int:
-    """Apolar length of the top coefficient form in the chosen variable.
-
-    A cactus lower bound when the dual of the chosen variable is generic
-    or covered by an invariance assertion, same caveat as the derivative
-    bound.
-    """
-    _, fk = leading_coefficient_form(F, var_pos)
-    return apolar_length(LinearSeries.of_form(fk))
-
-
 def bernardi_ranestad_upper(F: Polynomial, l: Polynomial) -> int:
     """Cactus upper bound: derivative-closure dimension of a
     dehomogenization of F at the linear form l."""

@@ -23,17 +23,19 @@ coordinates only, which is what the closed-form dimension counts refer
 to.
 
 Each family is one record in ``_FAMILIES``, read by the spec checks,
-``build``, ``canonical_partial_text`` and ``closed_form_hilbert``; each
-reference table is one entry of ``_TABLES``.
+``check_size``, ``build``, ``canonical_partial_text`` and
+``closed_form_hilbert``; each reference table is one entry of
+``_TABLES``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
 from .apolarity import (
     HilbertFunction,
@@ -302,31 +304,74 @@ def double_factorial(n: int) -> int:
 class _Family:
     """One family: its parameter names, its builder (parameters -> forms),
     the text of its distinguished derivative direction (formatted with the
-    parameters), and its closed-form Hilbert function, or None."""
+    parameters), its closed-form Hilbert function (values yielded in
+    degree order), or None, and its size: factors, yielded lazily, whose
+    product is the number of exponents its builder writes (each term it
+    enumerates is a tuple as long as the context)."""
 
     params: str
     build: Callable[..., list[Polynomial]]
     direction: str
-    hilbert: Callable[..., tuple[int, ...]] | None
+    hilbert: Callable[..., Iterable[int]] | None
+    size: Callable[..., Iterable[int]]
+
+
+def _size(variables: int, *term_factors) -> Iterable[int]:
+    return itertools.chain((variables,), *term_factors)
 
 
 # symdet: the Narayana row of n+1; the permanent has no known closed form.
+# det, perm and symdet enumerate n! permutations, pf (2n-1)!! pairings,
+# minors d! permutations per pair of row and column sets, and matmul q
+# terms for each of its p*r forms.
 _FAMILIES = {
     "det": _Family("N", lambda n: [build_determinant(n)], "d[1,1]",
-                   lambda n: tuple(math.comb(n, t) ** 2 for t in range(n + 1))),
-    "perm": _Family("N", lambda n: [build_permanent(n)], "d[1,1]", None),
+                   lambda n: (math.comb(n, t) ** 2 for t in range(n + 1)),
+                   lambda n: _size(n * n, range(2, n + 1))),
+    "perm": _Family("N", lambda n: [build_permanent(n)], "d[1,1]", None,
+                    lambda n: _size(n * n, range(2, n + 1))),
     "pf": _Family("N", lambda n: [build_pfaffian(n)], "d[1,2]",
-                  lambda n: tuple(math.comb(2 * n, 2 * t) for t in range(n + 1))),
+                  lambda n: (math.comb(2 * n, 2 * t) for t in range(n + 1)),
+                  lambda n: _size(n * (2 * n - 1), range(3, 2 * n, 2))),
     "symdet": _Family("N", lambda n: [build_symmetric_determinant(n)], "d[{0},{0}]",
-                      lambda n: tuple(narayana(n + 1, t + 1) for t in range(n + 1))),
+                      lambda n: (narayana(n + 1, t + 1) for t in range(n + 1)),
+                      lambda n: _size(n * (n + 1) // 2, range(2, n + 1))),
     "monprod": _Family("N", lambda n: [build_monomial_product(n)], "d[1]",
-                       lambda n: tuple(math.comb(n, t) for t in range(n + 1))),
+                       lambda n: (math.comb(n, t) for t in range(n + 1)),
+                       lambda n: _size(n)),
     "minors": _Family("M,N,D", build_minors_series, "d[1,1]",
-                      lambda m, n, d: tuple(math.comb(m, t) * math.comb(n, t)
-                                            for t in range(d + 1))),
+                      lambda m, n, d: (math.comb(m, t) * math.comb(n, t) for t in range(d + 1)),
+                      lambda m, n, d: _size(m * n, (math.comb(m, d), math.comb(n, d)),
+                                            range(2, d + 1))),
     "matmul": _Family("P,Q,R", build_matmul_series, "d_x[1,1] + d_y[1,1]",
-                      lambda p, q, r: (1, p * q + q * r, p * r)),
+                      lambda p, q, r: (1, p * q + q * r, p * r),
+                      lambda p, q, r: _size(p * q + q * r + r * p, (p, q, r))),
 }
+
+
+def _passes(values: Iterable[int], op, limit: int) -> bool:
+    """Whether the running ``op``-fold of ``values`` ever exceeds ``limit``;
+    stops at the first value that does."""
+    return any(v > limit for v in itertools.accumulate(values, op))
+
+
+def check_size(spec: FamilySpec, max_size: int, max_length: int) -> None:
+    """Refuse a family, before anything is built, whose apolar length
+    (where a closed form gives it) or size (exponents written by its
+    builder) is over its limit.  The length is checked first: once it is
+    within its limit, every parameter is small enough for the size
+    factors of ``minors`` to be cheap."""
+    record = _FAMILIES[spec.family]
+    if record.hilbert and _passes(record.hilbert(*spec.params), operator.add, max_length):
+        raise ValueError(
+            f"builtin {spec.id!r} is too large: its apolar length is over the "
+            f"limit of {max_length}"
+        )
+    if _passes(record.size(*spec.params), operator.mul, max_size):
+        raise ValueError(
+            f"builtin {spec.id!r} is too large: its terms times its variables "
+            f"are over the limit of {max_size}"
+        )
 
 
 def build(spec: FamilySpec) -> LinearSeries:
@@ -349,7 +394,7 @@ def closed_form_hilbert(spec: FamilySpec) -> HilbertFunction:
     hilbert = _FAMILIES[spec.family].hilbert
     if hilbert is None:
         raise NoClosedFormError(f"no closed-form Hilbert function for {spec.family!r}")
-    return HilbertFunction(hilbert(*spec.params))
+    return HilbertFunction(tuple(hilbert(*spec.params)))
 
 
 # ----------------------------------------------------------------------

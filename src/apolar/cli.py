@@ -8,7 +8,9 @@ line (several lines make a linear series).  Output formats: markdown
 output.
 
 Exit codes: 0 success, 1 parse failure (bad polynomial text, bad dual
-form, unreadable file), 2 invalid parameters or an oversized form file.
+form, bad decomposition coefficient, unreadable file), 2 invalid
+parameters, an argument over its limit, or an oversized form file or
+builtin id.
 A completed verify-decomposition exits 0 whether the verdict is pass or fail.
 """
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -33,7 +36,6 @@ from .bounds import InvarianceAssertion, bound_report
 from .catalog import FamilySpec, TableDoc, closed_form_table, parse_family
 from .poly import (
     ParseError,
-    PolyError,
     Rational,
     evaluate_decomposition,
     format_polynomial,
@@ -41,8 +43,18 @@ from .poly import (
     parse_polynomial_list,
 )
 
-VERIFY_N_CAP = 4  # verify mode recomputes columns up to this n
-MAX_LENGTH_BOUND = 500_000  # form files whose apolar length may be larger exit 2
+VERIFY_N_CAP = 5  # verify mode recomputes columns up to this n
+# inputs over these limits exit 2 before any work
+MAX_LENGTH_BOUND = 500_000  # apolar length of a form file (a-priori) or builtin
+MAX_BUILD_SIZE = 10_000_000  # terms times variables of a builtin
+MAX_TRIALS = 1000  # bounds --trials
+MAX_TABLE_N = 100  # table --n-max
+MAX_MATMUL_SIZE = 16  # matmul --p, --q and --r
+
+# a decomposition coefficient: an integer or a fraction in ASCII digits
+# (``Fraction`` alone also reads decimals and exponents, and spends
+# minutes on ``1e100000000``)
+_COEFF_RE = re.compile(r"[-+]?[0-9]+(?:/[0-9]+)?\Z")
 
 
 class CliError(Exception):
@@ -73,11 +85,9 @@ def fmt_cell(q: Rational) -> str:
 
 def load_series(src: str) -> tuple[LinearSeries, str, FamilySpec | None]:
     if src.startswith("builtin:"):
-        try:
-            spec = parse_family(src[len("builtin:") :])
-            return catalog.build(spec), src, spec
-        except ValueError as exc:
-            raise CliError(f"error: {exc}", 2) from exc
+        spec = parse_family(src[len("builtin:") :])
+        catalog.check_size(spec, MAX_BUILD_SIZE, MAX_LENGTH_BOUND)
+        return catalog.build(spec), src, spec
     try:
         with open(src, encoding="utf-8") as fh:
             text = fh.read()
@@ -259,10 +269,16 @@ def render_generators(form_id: str, gens: dict, delta: int, fmt: str) -> str:
 # commands
 
 
+def _at_most(flag: str, value: int, limit: int) -> None:
+    if value > limit:
+        raise CliError(f"error: {flag} must be at most {limit}", 2)
+
+
 def cmd_bounds(args) -> str:
     W, form_id, spec = load_series(args.form)
     if args.trials < 1:
         raise CliError("error: --trials must be at least 1", 2)
+    _at_most("--trials", args.trials, MAX_TRIALS)
     partial = None
     if args.partial is not None:
         try:
@@ -288,10 +304,8 @@ def cmd_bounds(args) -> str:
 
 
 def cmd_table(args) -> str:
-    try:
-        doc = closed_form_table(args.family, args.n_max)
-    except ValueError as exc:
-        raise CliError(f"error: {exc}", 2) from exc
+    _at_most("--n-max", args.n_max, MAX_TABLE_N)
+    doc = closed_form_table(args.family, args.n_max)
     checks = None
     if args.mode == "verify":
         checks = {}
@@ -349,11 +363,13 @@ def cmd_verify_decomposition(args) -> str:
             )
         coeff_text = coeff_text.strip()
         try:
-            coeff = Fraction(coeff_text)
-        except (ValueError, ZeroDivisionError):
+            coeff = Fraction(coeff_text) if _COEFF_RE.match(coeff_text) else None
+        except (ValueError, ZeroDivisionError):  # an over-long numeral, or x/0
+            coeff = None
+        if coeff is None:
             raise CliError(
                 f"error: {args.file}:{lineno}: bad coefficient {coeff_text!r}", 1
-            ) from None
+            )
         try:
             form = parse_polynomial_list([form_text], W.context)[0]
         except ParseError as exc:
@@ -385,10 +401,9 @@ def cmd_verify_decomposition(args) -> str:
 
 
 def cmd_matmul(args) -> str:
-    try:
-        rw, tensor = catalog.matmul_bound(args.p, args.q, args.r)
-    except ValueError as exc:
-        raise CliError(f"error: {exc}", 2) from exc
+    for flag in ("p", "q", "r"):
+        _at_most(f"--{flag}", getattr(args, flag), MAX_MATMUL_SIZE)
+    rw, tensor = catalog.matmul_bound(args.p, args.q, args.r)
     doc = {
         "p": args.p,
         "q": args.q,
@@ -492,9 +507,6 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except PolyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

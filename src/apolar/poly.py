@@ -25,7 +25,6 @@ differentiates ``x[1,2]`` and ``d_y[1,2]`` differentiates ``y[1,2]``.
 from __future__ import annotations
 
 import itertools
-import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -53,41 +52,15 @@ class ContextMismatchError(PolyError):
 
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-_NAME_RE = re.compile(_NAME + r"\Z")
-_VAR_RE = re.compile(rf"({_NAME})(?:\[(\d+(?:,\d+)*)\])?\Z")
-
-
-def canonical_var(base: str, indices: tuple[int, ...] | None = None) -> str:
-    if not _NAME_RE.match(base):
-        raise PolyError(f"invalid variable name {base!r}")
-    if indices is None:
-        return base
-    return f"{base}[{','.join(str(i) for i in indices)}]"
-
-
-def split_var(name: str) -> tuple[str, tuple[int, ...] | None]:
-    m = _VAR_RE.match(name)
-    if not m:
-        raise PolyError(f"invalid variable name {name!r}")
-    base, idx = m.group(1), m.group(2)
-    if idx is None:
-        return base, None
-    return base, tuple(int(s) for s in idx.split(","))
+_VAR_RE = re.compile(rf"{_NAME}(?:\[\d+(?:,\d+)*\])?\Z")
 
 
 def dual_name(primal: str) -> str:
     """Dual-variable display name: x[...] -> d[...], other -> d_<name>."""
-    base, idx = split_var(primal)
-    return canonical_var("d" if base == "x" else "d_" + base, idx)
-
-
-def primal_name(dual: str) -> str:
-    base, idx = split_var(dual)
-    if base == "d":
-        return canonical_var("x", idx)
-    if base.startswith("d_") and len(base) > 2:
-        return canonical_var(base[2:], idx)
-    raise PolyError(f"dual variable must be named 'd' or 'd_<name>', got {dual!r}")
+    if not _VAR_RE.match(primal):
+        raise PolyError(f"invalid variable name {primal!r}")
+    base, bracket, idx = primal.partition("[")
+    return ("d" if base == "x" else "d_" + base) + bracket + idx
 
 
 @dataclass(frozen=True)
@@ -291,23 +264,12 @@ def apply_operator(op: DualForm, f: Polynomial) -> Polynomial:
         raise ContextMismatchError("operator and operand contexts differ")
     out: dict[Monomial, Rational] = {}
     for me, ce in op.terms.items():
-        # an operator monomial touches only the variables it
-        # differentiates, so the per-term work is O(deg op), not O(n)
-        support = [(i, b) for i, b in enumerate(me) if b]
-        for mf, cf in f.terms.items():
-            factor = 1
-            for i, b in support:
-                if mf[i] < b:
-                    factor = 0
-                    break
-                factor *= math.perm(mf[i], b)
-            if not factor:
-                continue
-            target = list(mf)
-            for i, b in support:
-                target[i] -= b
-            target = tuple(target)
-            out[target] = out.get(target, 0) + ce * cf * factor
+        terms = f.terms
+        for i, b in enumerate(me):
+            for _ in range(b):
+                terms = partial_terms(terms, i)
+        for m, c in terms.items():
+            out[m] = out.get(m, 0) + ce * c
     return Polynomial(f.context, out)
 
 
@@ -359,18 +321,6 @@ def dehomogenize(f: Polynomial, l: Polynomial) -> Polynomial:
     return substitute(f, j, repl)
 
 
-def homogenize(f: Polynomial, l: Polynomial, degree: int) -> Polynomial:
-    """Inverse of :func:`dehomogenize`: pad each term with powers of ``l``."""
-    if not isinstance(l, Polynomial) or not l.is_linear_form():
-        raise PolyError("homogenization direction must be a nonzero linear form")
-    if f.degree() > degree:
-        raise PolyError("target degree is below the degree of the polynomial")
-    out = Polynomial.zero(f.context)
-    for m, c in f.terms.items():
-        out = out + Polynomial(f.context, {m: c}) * l ** (degree - sum(m))
-    return out
-
-
 # ----------------------------------------------------------------------
 # power-sum evaluation
 
@@ -398,29 +348,20 @@ def evaluate_decomposition(
 # monomial enumeration (graded lexicographic, descending exponents)
 
 
-def _monomials(n: int, degree: int) -> tuple[Monomial, ...]:
+def monomial_basis(context: VarContext, degree: int) -> list[Monomial]:
+    """All monomials of the given degree, lexicographically descending."""
     # multisets of variable positions in lexicographic order are exactly
     # the exponent tuples in descending lexicographic order
     if degree < 0:
-        return ()
+        return []
+    n = len(context)
     out = []
     for positions in itertools.combinations_with_replacement(range(n), degree):
         mono = [0] * n
         for i in positions:
             mono[i] += 1
         out.append(tuple(mono))
-    return tuple(out)
-
-
-_MONO_CACHE: dict[tuple[int, int], tuple[Monomial, ...]] = {}
-
-
-def monomial_basis(context: VarContext, degree: int) -> list[Monomial]:
-    """All monomials of the given degree, lexicographically descending."""
-    key = (len(context), degree)
-    if key not in _MONO_CACHE:
-        _MONO_CACHE[key] = _monomials(*key)
-    return list(_MONO_CACHE[key])
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -579,20 +520,28 @@ class _Parser:
 
     def _var(self) -> str:
         tok = self.take("NAME") or self.expected("a variable")
-        indices: tuple[int, ...] | None = None
+        base, suffix = tok[1], ""
         if self.take("["):
             idx = []
             while not idx or self.take(","):
                 idx.append(self.integer(self.take("NUM") or self.expected("an index")))
             if not self.take("]"):
                 self.expected("']'")
-            indices = tuple(idx)
-        name = canonical_var(tok[1], indices)
+            suffix = f"[{','.join(str(i) for i in idx)}]"
         if self.dual:
-            try:
-                name = primal_name(name)
-            except PolyError as exc:
-                self.error(str(exc), tok)
+            if base == "d":
+                base = "x"
+            elif base.startswith("d_") and len(base) > 2:
+                base = base[2:]
+            else:
+                self.error(
+                    "dual variable must be named 'd' or 'd_<name>', "
+                    f"got {base + suffix!r}",
+                    tok,
+                )
+            if not _VAR_RE.match(base):
+                self.error(f"invalid variable name {base!r}", tok)
+        name = base + suffix
         if self.context is not None:
             if name not in self.context:
                 shown = dual_name(name) if self.dual else name

@@ -86,6 +86,15 @@ def naive_derivative_bound(forms, direction):
 # built entry by entry from coefficients and factorials
 
 
+def naive_homogenize(f: Polynomial, l: Polynomial, degree: int) -> Polynomial:
+    """Pad each term of ``f`` with the power of ``l`` that lifts it to
+    ``degree``: the inverse of dehomogenizing at ``l``."""
+    out = Polynomial.zero(f.context)
+    for m, c in f.terms.items():
+        out = out + Polynomial(f.context, {m: c}) * l ** (degree - sum(m))
+    return out
+
+
 def naive_monomials(n, t):
     """Exponent tuples of degree t in n variables, lexicographically
     descending (the column order of the package)."""

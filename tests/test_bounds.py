@@ -19,7 +19,6 @@ from apolar import (
     generic_derivative_bound,
     generic_derivative_trials,
     landsberg_teitler_det,
-    leading_coefficient_bound,
     parse_dual_form,
     parse_polynomial,
     quotient_length_with_linear,
@@ -159,19 +158,6 @@ def test_generic_bound_regression_det3():
     # so the generic bound is 20 - 11 = 9, well below the
     # invariant-direction value 14
     assert generic_derivative_bound(series("det:3"), 5, 0) == 9
-
-
-def test_leading_coefficient_bound():
-    assert leading_coefficient_bound(p("x^2*y + x*y^2", XY), 0) == 2
-    det2 = build_determinant(2)
-    assert leading_coefficient_bound(det2, det2.context.position("x[1,1]")) == 2
-    det3 = build_determinant(3)
-    assert leading_coefficient_bound(det3, det3.context.position("x[1,1]")) == 6
-
-
-def test_leading_coefficient_bound_rejects_missing_variable():
-    with pytest.raises(ValueError):
-        leading_coefficient_bound(p("y^2", XY), 0)
 
 
 def test_bernardi_ranestad_upper_values():

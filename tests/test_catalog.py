@@ -90,6 +90,40 @@ def test_every_family_record(family, size):
         assert closed_form_hilbert(spec) == hilbert_function(W)
 
 
+@pytest.mark.parametrize("family", list(catalog._FAMILIES))
+def test_family_size_is_terms_times_variables(family):
+    """The size factors multiply to the exponents the builder writes:
+    one per variable for each term it enumerates."""
+    record = catalog._FAMILIES[family]
+    params = {"N": (3,), "M,N,D": (2, 3, 2), "P,Q,R": (2, 3, 2)}[record.params]
+    forms = record.build(*params)
+    terms = sum(len(f.terms) for f in forms)
+    if family == "symdet":  # its 3! permutations merge into 5 distinct terms
+        terms = math.factorial(3)
+    assert math.prod(record.size(*params)) == len(forms[0].context) * terms
+
+
+@pytest.mark.parametrize("fid", ["det:3", "perm:3", "pf:2", "minors:2,3,2", "matmul:2,3,2"])
+def test_check_size_refuses_one_over_either_limit(fid):
+    spec = parse_family(fid)
+    size = math.prod(catalog._FAMILIES[spec.family].size(*spec.params))
+    length = 10**9 if spec.family == "perm" else sum(closed_form_hilbert(spec))
+    catalog.check_size(spec, size, length)
+    with pytest.raises(ValueError) as exc:
+        catalog.check_size(spec, size - 1, length)
+    assert str(exc.value) == (
+        f"builtin {fid!r} is too large: its terms times its variables are over "
+        f"the limit of {size - 1}"
+    )
+    if spec.family != "perm":
+        with pytest.raises(ValueError) as exc:
+            catalog.check_size(spec, size, length - 1)
+        assert str(exc.value) == (
+            f"builtin {fid!r} is too large: its apolar length is over the limit "
+            f"of {length - 1}"
+        )
+
+
 def test_determinant_term_count_and_degree():
     for n in (2, 3, 4):
         W = build(parse_family(f"det:{n}"))

@@ -84,6 +84,20 @@ def test_table_verify_reaches_n_4(capsys, family):
     assert "MISMATCH" not in out
 
 
+@pytest.mark.parametrize("family", ["det", "pf", "symdet"])
+def test_table_verify_reaches_n_5(capsys, family):
+    code, out, _ = run_cli(
+        capsys, "table", family, "--n-max", "5", "--mode", "verify", "--format", "json"
+    )
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    # the rows verified at n = 4 are exactly the rows verified at n = 5
+    at_4 = [r["label"] for r in rows if r["values"][2].endswith(" (ok)")]
+    at_5 = [r["label"] for r in rows if r["values"][3].endswith(" (ok)")]
+    assert at_4 and at_5 == at_4
+    assert "MISMATCH" not in out
+
+
 def test_table_csv(capsys):
     _, out, _ = run_cli(capsys, "table", "det", "--n-max", "3", "--format", "csv")
     lines = out.strip().splitlines()
@@ -298,6 +312,75 @@ def test_one_variable_degree_20000_is_under_the_length_bound(tmp_path):
     assert W.degree == 20000
 
 
+@pytest.mark.parametrize(
+    "argv, limit, refused, message",
+    [
+        # det:3 has 6 terms over 9 variables and apolar length 20
+        (("hilbert", "--form", "builtin:det:3"), {"MAX_BUILD_SIZE": 54}, False, ""),
+        (
+            ("hilbert", "--form", "builtin:det:3"), {"MAX_BUILD_SIZE": 53}, True,
+            "builtin 'det:3' is too large: its terms times its variables are over "
+            "the limit of 53",
+        ),
+        (("hilbert", "--form", "builtin:det:3"), {"MAX_LENGTH_BOUND": 20}, False, ""),
+        (
+            ("hilbert", "--form", "builtin:det:3"), {"MAX_LENGTH_BOUND": 19}, True,
+            "builtin 'det:3' is too large: its apolar length is over the limit of 19",
+        ),
+        (
+            ("bounds", "--form", "builtin:perm:3"), {"MAX_BUILD_SIZE": 53}, True,
+            "builtin 'perm:3' is too large: its terms times its variables are over "
+            "the limit of 53",
+        ),
+        (("bounds", "--form", "builtin:det:2", "--trials", "3"), {"MAX_TRIALS": 3}, False, ""),
+        (
+            ("bounds", "--form", "builtin:det:2", "--trials", "4"), {"MAX_TRIALS": 3}, True,
+            "--trials must be at most 3",
+        ),
+        (("table", "det", "--n-max", "3"), {"MAX_TABLE_N": 3}, False, ""),
+        (
+            ("table", "det", "--n-max", "4"), {"MAX_TABLE_N": 3}, True,
+            "--n-max must be at most 3",
+        ),
+        (("matmul", "--p", "2", "--q", "2", "--r", "2"), {"MAX_MATMUL_SIZE": 2}, False, ""),
+        (
+            ("matmul", "--p", "2", "--q", "2", "--r", "3"), {"MAX_MATMUL_SIZE": 2}, True,
+            "--r must be at most 2",
+        ),
+    ],
+)
+def test_limits_refuse_one_over_and_run_at(capsys, monkeypatch, argv, limit, refused, message):
+    for name, value in limit.items():
+        monkeypatch.setattr(cli, name, value)
+    code, out, err = run_cli(capsys, *argv)
+    if refused:
+        assert code == 2 and out == "" and err == f"error: {message}\n"
+    else:
+        assert code == 0 and out and err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hilbert", "--form", "builtin:monprod:100000"),
+        ("table", "det", "--n-max", "100000"),
+        ("table", "pf", "--mode", "verify", "--n-max", "1000000"),
+        ("bounds", "--form", "builtin:det:2", "--trials", "100000000"),
+        ("matmul", "--p", "100000", "--q", "100000", "--r", "100000"),
+        ("hilbert", "--form", "builtin:det:12"),
+        ("hilbert", "--form", "builtin:perm:" + "9" * 4000),
+        ("hilbert", "--form", "builtin:matmul:100000,1,1"),
+        ("hilbert", "--form", "builtin:minors:100000,100000,50000"),
+    ],
+)
+def test_hostile_arguments_exit_2_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and (" too large: " in err or " at most " in err)
+
+
 def test_bounds_series_file(tmp_path, capsys):
     path = tmp_path / "series.txt"
     path.write_text("# two quadrics\nx*y\ny*z\n", encoding="utf-8")
@@ -452,6 +535,34 @@ def test_verify_decomposition_bad_line_exits_1(tmp_path, capsys):
     )
     assert code == 1
     assert ":1:" in err
+
+
+@pytest.mark.parametrize(
+    "coeff", ["1e100000000", "1.5", "1e3", "1_000", "½", "٣", "1/0", "1 / 2", "/2", "9" * 5000]
+)
+def test_verify_decomposition_coefficient_outside_the_grammar_exits_1(
+    tmp_path, capsys, coeff
+):
+    path = tmp_path / "bad.dec"
+    path.write_text(f"{coeff} ; x[1]\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "verify-decomposition", "--form", "builtin:monprod:1", "--file", str(path)
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err == f"error: {path}:1: bad coefficient {coeff!r}\n"
+
+
+@pytest.mark.parametrize("coeff", ["1", "+1", "-1", "001", "2/2", "-3/3"])
+def test_verify_decomposition_coefficient_grammar_accepts(tmp_path, capsys, coeff):
+    path = tmp_path / "one.dec"
+    path.write_text(f"{coeff} ; x[1]\n", encoding="utf-8")
+    code, out, _ = run_cli(
+        capsys, "verify-decomposition", "--form", "builtin:monprod:1", "--file", str(path)
+    )
+    assert code == 0
+    assert out.startswith("pass (1 summands)" if "-" not in coeff else "fail (1 summands)")
 
 
 def test_verify_decomposition_nonlinear_summand_exits_2(tmp_path, capsys):

@@ -9,13 +9,13 @@ from apolar import (
     ContextMismatchError,
     DualForm,
     ParseError,
+    PolyError,
     Polynomial,
     VarContext,
     apply_operator,
     dehomogenize,
     evaluate_decomposition,
     format_polynomial,
-    homogenize,
     monomial_basis,
     parse_dual_form,
     parse_polynomial,
@@ -24,6 +24,8 @@ from apolar import (
 )
 from apolar.catalog import build_determinant, grid_context
 import math
+
+from oracles import naive_homogenize
 
 XY = VarContext.of("x", "y")
 XYZ = VarContext.of("x", "y", "z")
@@ -152,6 +154,20 @@ PARSE_ERRORS = [
         "e[1]", GRID, True,
         "dual variable must be named 'd' or 'd_<name>', got 'e[1]'", 1, 1,
     ),
+    (
+        "dd[1]", GRID, True,
+        "dual variable must be named 'd' or 'd_<name>', got 'dd[1]'", 1, 1,
+    ),
+    (
+        "d_[1]", GRID, True,
+        "dual variable must be named 'd' or 'd_<name>', got 'd_[1]'", 1, 1,
+    ),
+    (
+        "d[1,1] + e[01, 2]", GRID, True,
+        "dual variable must be named 'd' or 'd_<name>', got 'e[1,2]'", 1, 10,
+    ),
+    ("d[1,1] + d_2[1]", GRID, True, "invalid variable name '2'", 1, 10),
+    ("d_x[2]", GRID, True, "unknown variable 'd[2]'", 1, 1),
     ("x + w", XY, False, "unknown variable 'w'", 1, 5),
     ("d[1,1] + d[2,2]", GRID, True, "unknown variable 'd[2,2]'", 1, 10),
     ("d_y[2]", GRID, True, "unknown variable 'd_y[2]'", 1, 1),
@@ -350,6 +366,40 @@ def test_dual_form_format_parse_round_trip(op):
     assert parse_dual_form(format_polynomial(op), op.context) == op
 
 
+# context names of each shape, some of them spelled like dual names,
+# and the dual name each is written with
+DUAL_NAMES = [
+    ("x", "d"),
+    ("x[2]", "d[2]"),
+    ("y[1,3]", "d_y[1,3]"),
+    ("d", "d_d"),
+    ("d_y", "d_d_y"),
+    ("x_1", "d_x_1"),
+    ("_z", "d__z"),
+]
+
+
+@pytest.mark.parametrize("name, dual", DUAL_NAMES, ids=[n for n, _ in DUAL_NAMES])
+def test_dual_name_round_trip(name, dual):
+    ctx = VarContext.of("w", name)
+    assert str(DualForm.variable(ctx, 1)) == dual
+    op = DualForm(ctx, {(0, 2): Fraction(3), (1, 1): Fraction(-1, 2), (0, 1): 1})
+    assert parse_dual_form(format_polynomial(op), ctx) == op
+
+
+def test_dual_round_trip_over_all_name_shapes():
+    ctx = VarContext(tuple(n for n, _ in DUAL_NAMES))
+    op = DualForm(ctx, {m: Fraction(i + 1) for i, m in enumerate(monomial_basis(ctx, 2))})
+    assert parse_dual_form(format_polynomial(op), ctx) == op
+
+
+def test_dual_name_of_an_out_of_grammar_context_name():
+    op = DualForm.variable(VarContext.of("1x"), 0)
+    with pytest.raises(PolyError) as err:
+        format_polynomial(op)
+    assert str(err.value) == "invalid variable name '1x'"
+
+
 # ----------------------------------------------------------------------
 # substitution / (de)homogenization
 
@@ -387,7 +437,7 @@ def test_dehomogenize_general_direction_round_trips():
     f = p("x^3 + x*y^2", XY)
     l = p("x + 2*y", XY)
     g = dehomogenize(f, l)
-    assert homogenize(g, l, 3) == f
+    assert naive_homogenize(g, l, 3) == f
 
 
 @settings(max_examples=40, deadline=None)
@@ -398,7 +448,7 @@ def test_dehomogenize_round_trip_at_coordinates(f, var):
     if f.is_zero:
         return
     l = Polynomial.variable(XYZ, var)
-    assert homogenize(dehomogenize(f, l), l, 3) == f
+    assert naive_homogenize(dehomogenize(f, l), l, 3) == f
 
 
 # ----------------------------------------------------------------------
