@@ -37,7 +37,6 @@ from .poly import (
 from .apolarity import (
     DegreeRangeError,
     GeneratorDegrees,
-    HilbertFunction,
     InvariantError,
     LinearSeries,
     NoVariablesError,

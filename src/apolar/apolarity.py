@@ -5,10 +5,11 @@ For a series W of degree-d forms in n variables the derivative layers are
     A_d = span(W),    A_{t-1} = span{ d/dx_i v : v in A_t, i = 1..n },
 
 so A_t is the span of all (d-t)-th partial derivatives of W (the
-degree-t piece of its Macaulay inverse system, Diff(W)).  Each layer is
-a :class:`SpanBuilder` of primitive integer rows keyed by exponent
-tuples, and the next layer differentiates the stored integer rows
-directly.  Everything is read off the layers:
+degree-t piece of its Macaulay inverse system, Diff(W)).  One closure
+(:func:`_closure`) builds them all: a single span takes the series and
+the first partials of every row that enlarged it, and the integer rows
+kept, grouped by derivative order, are bases of the layers.  Everything
+is read off the layers:
 
 * the Hilbert function is ``dims[t] = dim A_t``, which is the rank of
   the degree-t catalecticant (its transpose has image A_t), for series
@@ -16,8 +17,8 @@ directly.  Everything is read off the layers:
 * annihilator, colon and quotient pieces come from one pairing,
   ``<d^beta, x^alpha> = alpha! * delta(alpha, beta)``: a homogeneous
   dual form theta of degree e and the layer A_s give one row
-  ``beta -> <theta * d^beta, g>`` per stored row g of A_s
-  (:func:`_pairing`).  The kernel of these rows over the degree-(s-e)
+  ``beta -> <theta * d^beta, g>`` per row g of A_s
+  (:func:`_colon`).  The kernel of these rows over the degree-(s-e)
   monomials is the degree-(s-e) piece of the colon ``I : theta``; at
   theta = 1 it is the annihilator piece I_s, the orthogonal complement
   of A_s.  Above the series degree the layer is zero, so the kernel is
@@ -40,7 +41,6 @@ to callers who want it, but nothing here computes through it.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -140,33 +140,35 @@ class LinearSeries:
         return len(self.reduced_basis)
 
     @cached_property
-    def _layers(self) -> tuple[SpanBuilder, ...]:
-        """Derivative layers A_0, ..., A_d indexed by degree: A_d spans
-        the series, A_{t-1} the first partials of the rows of A_t."""
-        top = SpanBuilder()
-        for f in self.reduced_basis:
-            top.add(f.terms)
-        n = len(self.context)
-        layers = [top]
-        for _ in range(self.degree):
-            below = SpanBuilder()
-            for row in layers[-1].rows():
-                for dv in _partials(row, n):
-                    below.add(dv)
-            layers.append(below)
-        return tuple(reversed(layers))
+    def _layers(self) -> tuple[list[dict], ...]:
+        """Derivative layers A_0, ..., A_d indexed by degree, each a basis
+        of independent integer rows: the groups of :func:`_closure`
+        started from the series, reversed."""
+        tops = [clear_denominators(f.terms) for f in self.reduced_basis]
+        return tuple(reversed(_closure(tops, len(self.context))))
 
     @cached_property
     def _generator_degrees(self) -> GeneratorDegrees:
         return _count_generators(self)
 
 
-def _partials(row, n: int):
-    """The nonzero first partials of a sparse row."""
-    for i in range(n):
-        out = partial_terms(row, i)
-        if out:
-            yield out
+def _closure(tops: list[dict], n: int) -> list[list[dict]]:
+    """Independent integer rows spanning the derivative closure of
+    ``tops``, grouped by derivative order.  Each row that enlarges the one
+    span is differentiated once; the loop ends, as each order drops degree.
+    A homogeneous row is eliminated only by rows of its own degree (its
+    pivot fixes it), so for forms of degree d group k is a basis of A_{d-k}."""
+    span = SpanBuilder()
+    group = [row for row in tops if span.add(row)]
+    groups = []
+    while group:
+        groups.append(group)
+        group = [
+            dv for row in group for i in range(n)
+            # empty partials are skipped: feeding them to ``add`` costs time
+            if (dv := partial_terms(row, i)) and span.add(dv)
+        ]
+    return groups
 
 
 def differentiate_series(W: LinearSeries, theta: DualForm) -> LinearSeries | None:
@@ -182,26 +184,6 @@ def differentiate_series(W: LinearSeries, theta: DualForm) -> LinearSeries | Non
     if not nonzero:
         return None
     return LinearSeries.of_forms(nonzero)
-
-
-@dataclass(frozen=True)
-class HilbertFunction:
-    """Graded dimensions of an apolar algebra, indexed t = 0..d."""
-
-    dims: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(self.dims)
-
-    def __getitem__(self, t: int) -> int:
-        return self.dims[t]
-
-    def __iter__(self):
-        return iter(self.dims)
-
-    def __len__(self) -> int:
-        return len(self.dims)
 
 
 def catalecticant_matrix(W: LinearSeries, t: int) -> QMatrix:
@@ -240,10 +222,10 @@ def layer_bound(n: int, d: int, k: int, t: int) -> int:
     return min(math.comb(n + t - 1, t), k * math.comb(n + d - t - 1, d - t))
 
 
-def hilbert_function(W: LinearSeries) -> HilbertFunction:
+def hilbert_function(W: LinearSeries) -> tuple[int, ...]:
     """dims[t] = dim A_t, the degree-t derivative layer, t = 0..d (equal
     to the rank of the degree-t catalecticant)."""
-    dims = tuple(layer.dim for layer in W._layers)
+    dims = tuple(len(layer) for layer in W._layers)
     n = len(W.context)
     d = W.degree
     k = W.dim
@@ -260,13 +242,13 @@ def hilbert_function(W: LinearSeries) -> HilbertFunction:
                 f"layer {t - 1} has dimension {dims[t - 1]}, more than the "
                 f"{n} * {dims[t]} partials of layer {t}"
             )
-    return HilbertFunction(dims)
+    return dims
 
 
 def apolar_length(W: LinearSeries) -> int:
     """Total dimension of the apolar algebra (= dimension of the span of
     all derivatives of all orders of the series)."""
-    return hilbert_function(W).total
+    return sum(hilbert_function(W))
 
 
 def derivative_kernel_dims(W: LinearSeries, partial: DualForm) -> list[int]:
@@ -283,7 +265,7 @@ def derivative_kernel_dims(W: LinearSeries, partial: DualForm) -> list[int]:
     once and every image is an integer row.  A_0 (the constants) is
     killed whole.  For t >= 1 the rank of D on A_t needs no elimination
     when A_t is all of R_t (h(t) = C(n+t-1, t)): D maps R_t onto R_{t-1},
-    so the rank is C(n+t-2, t-1).  Otherwise the images of the stored
+    so the rank is C(n+t-2, t-1).  Otherwise the images of the basis
     rows of A_t go into one span, and adding stops once its dimension
     reaches h(t-1), since ``D(A_t)`` lies in A_{t-1}.
     """
@@ -292,7 +274,7 @@ def derivative_kernel_dims(W: LinearSeries, partial: DualForm) -> list[int]:
     if not partial.is_linear_form():
         raise ValueError("derivative direction must be a nonzero linear dual form")
     n = len(W.context)
-    dims = hilbert_function(W).dims
+    dims = hilbert_function(W)
     coeffs = [(m.index(1), c) for m, c in clear_denominators(partial.terms).items()]
     out = [dims[0]]
     for t in range(1, len(dims)):
@@ -301,7 +283,7 @@ def derivative_kernel_dims(W: LinearSeries, partial: DualForm) -> list[int]:
             out.append(h - math.comb(n + t - 2, t - 1))
             continue
         images = SpanBuilder()
-        for row in W._layers[t].rows():
+        for row in W._layers[t]:
             image: dict = {}
             for i, c in coeffs:
                 for k, v in partial_terms(row, i).items():
@@ -322,17 +304,21 @@ def _weight(m: Monomial) -> int:
     return w
 
 
-def _pairing(W: LinearSeries, theta_terms: dict, s: int) -> SpanBuilder:
-    """Span of the rows ``beta -> <theta * d^beta, g>``, one per stored
-    row g of the layer A_s; there are none for s > d, where A_s is zero.
+def _colon(W: LinearSeries, theta_terms: dict, e: int, t: int) -> list[DualForm]:
+    """Degree-t piece of the colon ``I : theta`` for a dual form theta,
+    homogeneous of degree e: the kernel, over the degree-t monomials, of
+    the rows ``beta -> <theta * d^beta, g>``, one per row g of the layer
+    A_{t+e} (none above the series degree, where that layer is zero).
 
     ``<theta * d^beta, g> = sum_gamma theta_gamma (beta+gamma)! g_(beta+gamma)``,
     so the term ``g_mu x^mu`` meets each ``theta_gamma`` with ``gamma <= mu``
-    at ``beta = mu - gamma``.  The kernel over the degree-(s - deg theta)
-    monomials is the dual forms psi with ``theta * psi`` orthogonal to A_s.
+    at ``beta = mu - gamma``.  The basis is the reduced-echelon one of
+    the dense catalecticant kernel: monomial keys compare like negated
+    column indices, so pivots are the first nonzero columns.
     """
+    s = t + e
     span = SpanBuilder()
-    for g in W._layers[s].rows() if s <= W.degree else ():
+    for g in W._layers[s] if s <= W.degree else ():
         row: dict[Monomial, Rational] = {}
         for mu, c in g.items():
             wc = _weight(mu) * c
@@ -341,26 +327,19 @@ def _pairing(W: LinearSeries, theta_terms: dict, s: int) -> SpanBuilder:
                 if all(x >= 0 for x in beta):
                     row[beta] = row.get(beta, 0) + ce * wc
         span.add(row)
-    return span
-
-
-def _annihilator(W: LinearSeries, t: int) -> Iterator[dict[Monomial, Fraction]]:
-    """Degree-t annihilator piece, sparse, in the reduced-echelon basis of
-    the dense catalecticant kernel: monomial keys compare like negated
-    column indices, so pivots are the first nonzero columns.  The int 1
-    keeps the pairing rows on the integer path of ``SpanBuilder.add``."""
-    one = {(0,) * len(W.context): 1}
-    return _pairing(W, one, t).kernel(monomial_basis(W.context, t))
+    ctx = W.context
+    return [DualForm(ctx, v) for v in span.kernel(monomial_basis(ctx, t))]
 
 
 def apolar_ideal_component(W: LinearSeries, t: int) -> list[DualForm]:
     """Basis of the degree-t piece of the annihilator of W: the
     reduced-echelon basis of the orthogonal complement of the layer A_t
     (the kernel basis of the degree-t catalecticant).  Above the series
-    degree that is the monomial basis."""
+    degree that is the monomial basis.  The int 1 as theta keeps the
+    rows of :func:`_colon` on the integer path of ``SpanBuilder.add``."""
     if t < 0:
         raise DegreeRangeError("degree must be non-negative")
-    return [DualForm(W.context, v) for v in _annihilator(W, t)]
+    return _colon(W, {(0,) * len(W.context): 1}, 0, t)
 
 
 def _shift(terms: dict[Monomial, Rational], pos: int) -> dict[Monomial, Rational]:
@@ -395,8 +374,8 @@ def minimal_generator_degrees(W: LinearSeries) -> GeneratorDegrees:
     closed homogeneous 1-form is exact (Poincare), and by Euler
     ``g = (1/t) * sum x_i u_i`` has gradient (u_i).  So dim P_t is the
     kernel dimension of ``(u_i) -> (d_k u_i - d_i u_k)_{i<k}`` on
-    A_{t-1}^n: the ``n * h(t-1)`` unknowns (one per variable and stored,
-    independent row of A_{t-1}) minus the rank of their images.  P_t
+    A_{t-1}^n: the ``n * h(t-1)`` unknowns (one per variable and basis
+    row of A_{t-1}) minus the rank of their images.  P_t
     contains A_t, so ``dim P_t >= h(t)`` for every correct layer.  When
     A_{t-1} is all of R_{t-1} (always at t = 1, and in low degrees of
     dense input) P_t is all of R_t, and nothing is eliminated.  The count
@@ -411,12 +390,12 @@ def _count_generators(W: LinearSeries) -> GeneratorDegrees:
     counts: dict[int, int] = {}
     for t in range(1, W.degree + 2):
         below = layers[t - 1]
-        h = layers[t].dim if t <= W.degree else 0
-        if below.dim == math.comb(n + t - 2, t - 1):
+        h = len(layers[t]) if t <= W.degree else 0
+        if len(below) == math.comb(n + t - 2, t - 1):
             p_dim = math.comb(n + t - 1, t)
         else:
             images = SpanBuilder()
-            for row in below.rows():
+            for row in below:
                 grad = [partial_terms(row, k) for k in range(n)]
                 for i in range(n):
                     images.add({
@@ -425,7 +404,7 @@ def _count_generators(W: LinearSeries) -> GeneratorDegrees:
                         if k != i
                         for m, c in dk.items()
                     })
-            p_dim = n * below.dim - images.dim
+            p_dim = n * len(below) - images.dim
         if p_dim < h:
             raise InvariantError(
                 f"the degree-{t} prolongation of layer {t - 1} has dimension "
@@ -472,7 +451,7 @@ def colon_component(W: LinearSeries, theta: DualForm, t: int) -> list[DualForm]:
 
     Computed directly as the dual forms psi of degree t whose product
     with theta (of degree e) is orthogonal to the layer A_{t+e}: the
-    kernel of :func:`_pairing`.  No derivative series is formed and its
+    kernel of :func:`_colon`.  No derivative series is formed and its
     annihilator is not used, so this can be compared against it as an
     independent identity check.  Returned in the basis that
     :func:`apolar_ideal_component` uses (the reduced-echelon kernel basis),
@@ -486,9 +465,7 @@ def colon_component(W: LinearSeries, theta: DualForm, t: int) -> list[DualForm]:
         raise ValueError("colon divisor must be homogeneous")
     if t < 0:
         raise DegreeRangeError("degree must be non-negative")
-    ctx = W.context
-    pairing = _pairing(W, theta.terms, t + theta.homogeneous_degree())
-    return [DualForm(ctx, v) for v in pairing.kernel(monomial_basis(ctx, t))]
+    return _colon(W, theta.terms, theta.homogeneous_degree(), t)
 
 
 def quotient_length_with_linear(W: LinearSeries, partial: DualForm) -> int:
@@ -512,8 +489,8 @@ def quotient_length_with_linear(W: LinearSeries, partial: DualForm) -> int:
         full = math.comb(n + t - 1, t)
         span = SpanBuilder()
         if t >= 1:
-            for psi in _annihilator(W, t):
-                span.add(psi)
+            for psi in apolar_ideal_component(W, t):
+                span.add(psi.terms)
             for m in monomial_basis(ctx, t - 1):
                 span.add(
                     {
@@ -528,22 +505,9 @@ def quotient_length_with_linear(W: LinearSeries, partial: DualForm) -> int:
 def diff_closure_dim(f: Polynomial) -> int:
     """Dimension of the span of all iterated partials of f (f included).
 
-    Works for non-homogeneous input; saturates breadth-first on integer
-    rows (f with its denominators cleared), which must stop because each
-    step drops degree.
+    Works for non-homogeneous input: the number of rows :func:`_closure`
+    keeps from f with its denominators cleared.
     """
     if f.is_zero:
         raise ValueError("the derivative closure of zero is not defined")
-    top = clear_denominators(f.terms)
-    span = SpanBuilder()
-    span.add(top)
-    frontier = [top]
-    n = len(f.context)
-    while frontier:
-        fresh = []
-        for g in frontier:
-            for h in _partials(g, n):
-                if span.add(h):
-                    fresh.append(h)
-        frontier = fresh
-    return span.dim
+    return sum(map(len, _closure([clear_denominators(f.terms)], len(f.context))))

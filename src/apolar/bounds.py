@@ -157,7 +157,7 @@ class BoundReport:
 
 def sylvester_bound(W: LinearSeries) -> int:
     """Largest graded dimension of the apolar algebra."""
-    return max(hilbert_function(W).dims)
+    return max(hilbert_function(W))
 
 
 def ranestad_schreyer_bound(W: LinearSeries) -> Rational:
@@ -257,18 +257,18 @@ def bound_report(
     entries: list[BoundEntry] = []
 
     hf = hilbert_function(W)
-    t_star = max(range(len(hf.dims)), key=lambda t: hf.dims[t])
+    t_star = max(range(len(hf)), key=lambda t: hf[t])
     entries.append(
         BoundEntry(
             name="sylvester",
-            value=Fraction(hf.dims[t_star]),
+            value=Fraction(hf[t_star]),
             kind=KIND_LOWER_CACTUS,
-            metadata={"hilbert": list(hf.dims), "argmax_degree": t_star},
+            metadata={"hilbert": list(hf), "argmax_degree": t_star},
         )
     )
 
     gens = minimal_generator_degrees(W)
-    length = hf.total
+    length = sum(hf)
     entries.append(
         BoundEntry(
             name="ranestad_schreyer",

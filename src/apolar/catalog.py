@@ -37,11 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .apolarity import (
-    HilbertFunction,
-    LinearSeries,
-    apolar_length,
-)
+from .apolarity import LinearSeries, apolar_length
 from .bounds import (
     KIND_LOWER_CACTUS,
     KIND_LOWER_WARING,
@@ -389,12 +385,12 @@ def canonical_partial(spec: FamilySpec, W: LinearSeries) -> DualForm:
     return parse_dual_form(canonical_partial_text(spec), W.context)
 
 
-def closed_form_hilbert(spec: FamilySpec) -> HilbertFunction:
+def closed_form_hilbert(spec: FamilySpec) -> tuple[int, ...]:
     """Formula values of the Hilbert function, no polynomial arithmetic."""
     hilbert = _FAMILIES[spec.family].hilbert
     if hilbert is None:
         raise NoClosedFormError(f"no closed-form Hilbert function for {spec.family!r}")
-    return HilbertFunction(tuple(hilbert(*spec.params)))
+    return tuple(hilbert(*spec.params))
 
 
 # ----------------------------------------------------------------------

@@ -83,20 +83,25 @@ def fmt_cell(q: Rational) -> str:
 # form loading
 
 
+def _read_lines(path: str) -> list[tuple[int, str]]:
+    """The numbered, stripped lines of a UTF-8 file that are neither blank
+    nor ``#`` comments.  A file that cannot be opened or decoded exits 1,
+    named in the message."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"error: cannot read {path!r}: {exc}", 1) from exc
+    numbered = enumerate((raw.strip() for raw in text.splitlines()), start=1)
+    return [(i, ln) for i, ln in numbered if ln and not ln.startswith("#")]
+
+
 def load_series(src: str) -> tuple[LinearSeries, str, FamilySpec | None]:
     if src.startswith("builtin:"):
         spec = parse_family(src[len("builtin:") :])
         catalog.check_size(spec, MAX_BUILD_SIZE, MAX_LENGTH_BOUND)
         return catalog.build(spec), src, spec
-    try:
-        with open(src, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise CliError(f"error: cannot read form file {src!r}: {exc}", 1) from exc
-    lines = [
-        ln for ln in (raw.strip() for raw in text.splitlines())
-        if ln and not ln.startswith("#")
-    ]
+    lines = [ln for _, ln in _read_lines(src)]
     if not lines:
         raise CliError(f"error: form file {src!r} contains no polynomials", 1)
     try:
@@ -345,17 +350,9 @@ def cmd_verify_decomposition(args) -> str:
             2,
         )
     target = W.reduced_basis[0]
-    try:
-        with open(args.file, encoding="utf-8") as fh:
-            raw_lines = fh.read().splitlines()
-    except OSError as exc:
-        raise CliError(f"error: cannot read {args.file!r}: {exc}", 1) from exc
     coeffs: list[Rational] = []
     forms = []
-    for lineno, raw in enumerate(raw_lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _read_lines(args.file):
         coeff_text, sep, form_text = line.partition(";")
         if not sep:
             raise CliError(

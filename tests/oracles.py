@@ -220,3 +220,22 @@ def naive_generator_degrees(forms):
             counts[t] = fresh
         prev = piece
     return counts
+
+
+def naive_closure_dim(f: Polynomial) -> int:
+    """Dimension of the span of f and all its iterated partials, every
+    distinct derivative of every order listed by repeated single
+    derivatives and compared by coefficient vectors."""
+    n = len(f.context)
+    found = {}
+    frontier = [f]
+    while frontier:
+        fresh = []
+        for g in frontier:
+            key = frozenset(g.terms.items())
+            if not g.is_zero and key not in found:
+                found[key] = g
+                fresh.extend(g.partial(i) for i in range(n))
+        frontier = fresh
+    monos = sorted({m for g in found.values() for m in g.terms})
+    return naive_span_dim(coefficient_vector(g, monos) for g in found.values())

@@ -6,6 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import apolar.apolarity
 from apolar import (
@@ -34,7 +36,13 @@ from apolar import (
     rank,
 )
 from apolar.catalog import build, build_determinant, parse_family
-from oracles import brute_hilbert, coefficient_vector, naive_rank, naive_span_dim
+from oracles import (
+    brute_hilbert,
+    coefficient_vector,
+    naive_closure_dim,
+    naive_rank,
+    naive_span_dim,
+)
 
 XY = VarContext.of("x", "y")
 
@@ -78,7 +86,7 @@ def test_series_rejects_a_context_without_variables():
         LinearSeries.of_form(parse_polynomial("5"))
     with pytest.raises(ZeroSeriesError):
         LinearSeries.of_form(parse_polynomial("0"))
-    assert hilbert_function(LinearSeries.of_form(p("5", XY))).dims == (1,)
+    assert hilbert_function(LinearSeries.of_form(p("5", XY))) == (1,)
 
 
 def test_series_rejects_mixed_degrees():
@@ -136,8 +144,8 @@ def test_hilbert_monomial_product():
 
 def test_hilbert_pf2():
     hf = hilbert_function(build(parse_family("pf:2")))
-    assert list(hf) == [1, 6, 1]
-    assert hf.total == 8
+    assert hf == (1, 6, 1)
+    assert sum(hf) == 8
 
 
 def test_hilbert_against_brute_force_enumeration():
@@ -433,6 +441,41 @@ def test_diff_closure_rejects_zero():
         diff_closure_dim(p("0", XY))
 
 
+@st.composite
+def mixed_polynomials(draw):
+    """A nonzero polynomial in 1..3 variables of degree at most 4, its
+    terms of mixed degrees, with integer and fractional coefficients."""
+    n = draw(st.integers(1, 3))
+    ctx = VarContext(tuple(f"x[{i}]" for i in range(1, n + 1)))
+    monos = [m for t in range(5) for m in monomial_basis(ctx, t)]
+    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=4).filter(bool)
+    terms = draw(st.dictionaries(st.sampled_from(monos), coeff, min_size=1, max_size=8))
+    return Polynomial(ctx, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_polynomials())
+def test_diff_closure_matches_naive_closure(f):
+    assert diff_closure_dim(f) == naive_closure_dim(f)
+    # the top-degree part is a form: its closure is its apolar algebra
+    d = max(sum(m) for m in f.terms)
+    F = Polynomial(f.context, {m: c for m, c in f.terms.items() if sum(m) == d})
+    assert diff_closure_dim(F) == apolar_length(LinearSeries.of_form(F))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=9, max_size=9).filter(
+    lambda cs: sum(1 for c in cs if c) >= 2
+))
+def test_diff_closure_of_det3_at_non_coordinate_direction(coeffs):
+    det3 = build_determinant(3)
+    ctx = det3.context
+    l = Polynomial(ctx, {m: Fraction(c) for m, c in zip(monomial_basis(ctx, 1), coeffs) if c})
+    f = dehomogenize(det3, l)
+    assert diff_closure_dim(f) == naive_closure_dim(f)
+    assert diff_closure_dim(det3) == apolar_length(LinearSeries.of_form(det3)) == 20
+
+
 # ----------------------------------------------------------------------
 # randomized series-level checks (the identities must hold for arbitrary
 # series, not just the builtin families)
@@ -517,28 +560,15 @@ true_layers = ap.LinearSeries._layers.func
 true_degrees = ap.minimal_generator_degrees
 
 
-class FakeLayer:
-    def __init__(self, dim):
-        self.dim = dim
-
-
 def layers(*dims):
-    return property(lambda self: tuple(FakeLayer(k) for k in dims))
-
-
-class ShrunkLayer:
-    # a true layer that lost its last stored row
-    def __init__(self, layer):
-        self.kept = list(layer.rows())[:-1]
-        self.dim = len(self.kept)
-
-    def rows(self):
-        return iter(self.kept)
+    # a layer is a list of rows; only their number is read here
+    return property(lambda self: tuple([{}] * k for k in dims))
 
 
 def shrunk_layer_2(self):
+    # the true layer 2 without its last row
     a0, a1, a2, a3 = true_layers(self)
-    return (a0, a1, ShrunkLayer(a2), a3)
+    return (a0, a1, a2[:-1], a3)
 
 
 def overcounted(W):

@@ -241,6 +241,22 @@ def test_malformed_form_file_exits_1_with_position(tmp_path, capsys, text, col, 
     )
 
 
+@pytest.mark.parametrize(
+    "kind, body", [("form", b"x\xff*y\n"), ("decomposition", b"1 ; x[1]\xff\n")]
+)
+def test_file_with_invalid_utf8_exits_1_naming_it(tmp_path, capsys, kind, body):
+    path = tmp_path / f"bad.{kind}"
+    path.write_bytes(body)
+    if kind == "form":
+        argv = ["hilbert", "--form", str(path)]
+    else:
+        argv = ["verify-decomposition", "--form", "builtin:monprod:3", "--file", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot read {str(path)!r}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
+
+
 def test_bounds_zero_form_file_exits_2(tmp_path, capsys):
     path = tmp_path / "zero.txt"
     path.write_text("0\n", encoding="utf-8")
