@@ -7,9 +7,10 @@ For a series W of degree-d forms in n variables the derivative layers are
 so A_t is the span of all (d-t)-th partial derivatives of W (the
 degree-t piece of its Macaulay inverse system, Diff(W)).  One closure
 (:func:`_closure`) builds them all: a single span takes the series and
-the first partials of every row that enlarged it, and the integer rows
-kept, grouped by derivative order, are bases of the layers.  Everything
-is read off the layers:
+the first partials of every row that enlarged it, each derivative
+d^beta of a series form once, by the variables the row contains.  The
+integer rows kept, grouped by derivative order, are bases of the
+layers.  Everything is read off the layers:
 
 * the Hilbert function is ``dims[t] = dim A_t``, which is the rank of
   the degree-t catalecticant (its transpose has image A_t), for series
@@ -145,29 +146,48 @@ class LinearSeries:
         of independent integer rows: the groups of :func:`_closure`
         started from the series, reversed."""
         tops = [clear_denominators(f.terms) for f in self.reduced_basis]
-        return tuple(reversed(_closure(tops, len(self.context))))
+        return tuple(reversed(_closure(tops)))
 
     @cached_property
     def _generator_degrees(self) -> GeneratorDegrees:
         return _count_generators(self)
 
 
-def _closure(tops: list[dict], n: int) -> list[list[dict]]:
+def _variables(row: dict) -> list[int]:
+    """Indices of the variables that occur in ``row``, ascending: the
+    only ones whose partial of it is not zero."""
+    return [i for i, col in enumerate(zip(*row)) if any(col)]
+
+
+def _closure(tops: list[dict]) -> list[list[dict]]:
     """Independent integer rows spanning the derivative closure of
-    ``tops``, grouped by derivative order.  Each row that enlarges the one
-    span is differentiated once; the loop ends, as each order drops degree.
-    A homogeneous row is eliminated only by rows of its own degree (its
-    pivot fixes it), so for forms of degree d group k is a basis of A_{d-k}."""
+    ``tops``, grouped by derivative order.
+
+    Each row kept is ``d^beta tops[j]`` for a multiset beta of variables,
+    held as ``(j, *sorted beta)``.  A row that enlarges the one span is
+    differentiated by the variables it contains; each ``(j, beta)`` of
+    the next order is tried once, because ``d^beta tops[j]`` does not
+    depend on the order of differentiation, so a second path to it gives
+    the same vector, already in the span.  The loop ends, as each order
+    drops degree.  A homogeneous row is eliminated only by rows of its
+    own degree (its pivot fixes it), so for forms of degree d group k is
+    a basis of A_{d-k}."""
     span = SpanBuilder()
-    group = [row for row in tops if span.add(row)]
+    group = [(row, (j,)) for j, row in enumerate(tops) if span.add(row)]
     groups = []
     while group:
-        groups.append(group)
-        group = [
-            dv for row in group for i in range(n)
-            # empty partials are skipped: feeding them to ``add`` costs time
-            if (dv := partial_terms(row, i)) and span.add(dv)
-        ]
+        groups.append([row for row, _ in group])
+        tried = set()
+        nxt = []
+        for row, (j, *beta) in group:
+            for i in _variables(row):
+                key = (j, *sorted((*beta, i)))
+                if key not in tried:
+                    tried.add(key)
+                    dv = partial_terms(row, i)
+                    if span.add(dv):
+                        nxt.append((dv, key))
+        group = nxt
     return groups
 
 
@@ -396,11 +416,11 @@ def _count_generators(W: LinearSeries) -> GeneratorDegrees:
         else:
             images = SpanBuilder()
             for row in below:
-                grad = [partial_terms(row, k) for k in range(n)]
+                grad = [(k, partial_terms(row, k)) for k in _variables(row)]
                 for i in range(n):
                     images.add({
                         ((i, k) if i < k else (k, i), m): c if i < k else -c
-                        for k, dk in enumerate(grad)
+                        for k, dk in grad
                         if k != i
                         for m, c in dk.items()
                     })
@@ -506,8 +526,9 @@ def diff_closure_dim(f: Polynomial) -> int:
     """Dimension of the span of all iterated partials of f (f included).
 
     Works for non-homogeneous input: the number of rows :func:`_closure`
-    keeps from f with its denominators cleared.
+    keeps from f with its denominators cleared, taking each derivative
+    d^beta f once, by the variables it contains.
     """
     if f.is_zero:
         raise ValueError("the derivative closure of zero is not defined")
-    return sum(map(len, _closure([clear_denominators(f.terms)], len(f.context))))
+    return sum(map(len, _closure([clear_denominators(f.terms)])))

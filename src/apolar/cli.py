@@ -46,7 +46,7 @@ from .poly import (
 VERIFY_N_CAP = 5  # verify mode recomputes columns up to this n
 # inputs over these limits exit 2 before any work
 MAX_LENGTH_BOUND = 500_000  # apolar length of a form file (a-priori) or builtin
-MAX_BUILD_SIZE = 10_000_000  # terms times variables of a builtin
+MAX_BUILD_SIZE = 10_000_000  # terms times variables of a builtin or form file
 MAX_TRIALS = 1000  # bounds --trials
 MAX_TABLE_N = 100  # table --n-max
 MAX_MATMUL_SIZE = 16  # matmul --p, --q and --r
@@ -105,9 +105,11 @@ def load_series(src: str) -> tuple[LinearSeries, str, FamilySpec | None]:
     if not lines:
         raise CliError(f"error: form file {src!r} contains no polynomials", 1)
     try:
-        forms = parse_polynomial_list(lines)
+        forms = parse_polynomial_list(lines, max_size=MAX_BUILD_SIZE)
     except ParseError as exc:
         raise CliError(f"error: {src}: {exc}", 1) from exc
+    except ValueError as exc:
+        raise CliError(f"error: form file {src!r} is too large: {exc}", 2) from exc
     try:
         W = LinearSeries.of_forms(forms)
     except NoVariablesError as exc:

@@ -574,12 +574,15 @@ def parse_polynomial(text: str, context: VarContext | None = None) -> Polynomial
 
 
 def parse_polynomial_list(
-    texts: list[str], context: VarContext | None = None
+    texts: list[str], context: VarContext | None = None, max_size: int | None = None
 ) -> list[Polynomial]:
     """Parse several polynomials over one shared context.
 
     Without an explicit context, variables are collected across all
     inputs in order of first appearance before any polynomial is built.
+    Each term is built as an exponent tuple as long as the context, so
+    when the terms times the variables exceed ``max_size`` a
+    ``ValueError`` is raised before any tuple is built.
     """
     parsers = []
     seen: dict[str, None] = {}
@@ -590,6 +593,12 @@ def parse_polynomial_list(
         for name in p.seen:
             seen.setdefault(name)
     ctx = context if context is not None else VarContext(tuple(seen))
+    terms = sum(map(len, parsers))
+    if max_size is not None and terms * len(ctx) > max_size:
+        raise ValueError(
+            f"{terms} terms times {len(ctx)} variables are over the size "
+            f"limit of {max_size}"
+        )
     return [_assemble(Polynomial, raw, ctx) for raw in parsers]
 
 

@@ -2,12 +2,16 @@
 
 Deliberately naive: textbook rational Gaussian elimination and direct
 derivative enumeration, sharing no code with the package internals.
+The one exception, :func:`reference_closure`, is a row-order reference
+rather than an oracle, and says so.
 """
 
 from fractions import Fraction
 from math import factorial
 
 from apolar import Polynomial, monomial_basis
+from apolar.linalg import SpanBuilder
+from apolar.poly import partial_terms
 
 
 def naive_rank(rows):
@@ -239,3 +243,23 @@ def naive_closure_dim(f: Polynomial) -> int:
         frontier = fresh
     monos = sorted({m for g in found.values() for m in g.terms})
     return naive_span_dim(coefficient_vector(g, monos) for g in found.values())
+
+
+def reference_closure(tops, n):
+    """Row-order reference for ``apolarity._closure``, not an independent
+    oracle: the plain loop that feeds every nonzero first partial of
+    every row kept, by every variable and along every path, to one
+    ``SpanBuilder``.  It shares the span and ``partial_terms`` with the
+    package, so it pins which rows the closure keeps, in what order and
+    with what integer entries; whether they span the closure is checked
+    against the naive routes above."""
+    span = SpanBuilder()
+    group = [row for row in tops if span.add(row)]
+    groups = []
+    while group:
+        groups.append(group)
+        group = [
+            dv for row in group for i in range(n)
+            if (dv := partial_terms(row, i)) and span.add(dv)
+        ]
+    return groups

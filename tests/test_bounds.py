@@ -171,6 +171,14 @@ def test_bernardi_ranestad_upper_values():
     assert bernardi_ranestad_upper(p("x^4", ctx), p("x", ctx)) == 1
 
 
+@pytest.mark.parametrize("n, value", [(4, 68), (5, 250)])
+def test_bernardi_ranestad_upper_of_det_at_a_corner(n, value):
+    # C(2n, n) - 2, as for det:6 (922), a closure only the benchmark runs
+    det = build_determinant(n)
+    l = Polynomial.named_variable(det.context, f"x[{n},{n}]")
+    assert bernardi_ranestad_upper(det, l) == value == math.comb(2 * n, n) - 2
+
+
 def test_landsberg_teitler_det_values():
     assert landsberg_teitler_det(2) == 4
     assert landsberg_teitler_det(3) == 14

@@ -321,6 +321,25 @@ def test_high_degree_form_file_exits_2_before_any_layer(tmp_path, capsys):
     assert "may reach 4004001, over the limit" in err
 
 
+@pytest.mark.parametrize("k, refused", [(500, False), (20000, True)])
+def test_form_file_of_many_variables_is_bounded_by_its_size(tmp_path, capsys, k, refused):
+    # k lines x[i]*y: the a-priori length 2k + 2 passes, but the terms
+    # times the variables grow like k^2
+    path = tmp_path / "wide.txt"
+    path.write_text("".join(f"x[{i}]*y\n" for i in range(1, k + 1)), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "hilbert", "--form", str(path))
+    if refused:
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: form file {str(path)!r} is too large: {k} terms times {k + 1} "
+            f"variables are over the size limit of {cli.MAX_BUILD_SIZE}\n"
+        )
+    else:
+        assert code == 0 and f"[1, {k + 1}, {k}]" in out
+
+
 def test_one_variable_degree_20000_is_under_the_length_bound(tmp_path):
     path = tmp_path / "power.txt"
     path.write_text("x^20000\n", encoding="utf-8")

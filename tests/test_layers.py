@@ -15,6 +15,7 @@ each piece with every variable.
 """
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -27,20 +28,24 @@ from apolar import (
     apolar_ideal_component,
     catalecticant_matrix,
     closed_form_hilbert,
+    dehomogenize,
     hilbert_function,
     minimal_generator_degrees,
     minimal_generators,
     parse_family,
     parse_polynomial,
 )
+from apolar.apolarity import _closure
 from apolar.catalog import build
 from apolar.cli import main
+from apolar.linalg import SpanBuilder, clear_denominators
 from oracles import (
     naive_catalecticant,
     naive_catalecticant_hilbert,
     naive_generator_degrees,
     naive_ideal_component,
     naive_monomials,
+    reference_closure,
 )
 
 
@@ -167,3 +172,61 @@ def test_generator_degrees_of_a_linear_form_in_many_variables():
         parse_polynomial(" + ".join(f"x[{i}]" for i in range(1, 201)))
     )
     assert minimal_generator_degrees(W).counts == {1: 199, 2: 1}
+
+
+# ----------------------------------------------------------------------
+# the closure keeps the rows of the plain loop, and tries each d^beta once
+
+
+def check_closure_rows(forms):
+    tops = [clear_denominators(f.terms) for f in forms]
+    got = _closure(tops)
+    want = reference_closure(tops, len(forms[0].context))
+    # key order too: later passes walk each row in this order
+    assert [[list(r.items()) for r in g] for g in got] == [
+        [list(r.items()) for r in g] for g in want
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_series())
+def test_closure_keeps_the_reference_rows_on_random_series(W):
+    check_closure_rows(W.reduced_basis)
+
+
+@pytest.mark.parametrize("family", ORACLE_FAMILIES)
+def test_closure_keeps_the_reference_rows_on_families(family):
+    check_closure_rows(build(parse_family(family)).reduced_basis)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("at", ["x[1,1]", "x[{0},{0}]", "random 1", "random 2"])
+def test_closure_keeps_the_reference_rows_on_dehomogenized_determinants(n, at):
+    F = build(parse_family(f"det:{n}")).forms[0]
+    ctx = F.context
+    if at.startswith("x"):
+        l = Polynomial.named_variable(ctx, at.format(n))
+    else:
+        rng = random.Random(at)
+        coeffs = [rng.choice([0, 0, 1, -2, 3]) for _ in ctx.names]
+        coeffs[rng.randrange(len(coeffs))] = 5
+        l = Polynomial(ctx, {m: c for m, c in zip(naive_monomials(len(ctx), 1), coeffs) if c})
+    check_closure_rows([dehomogenize(F, l)])
+
+
+@pytest.mark.parametrize("family, adds, kept", [("monprod:6", 64, 64), ("det:4", 179, 70)])
+def test_layers_try_each_derivative_once(monkeypatch, family, adds, kept):
+    # the plain loop makes 193 and 321 adds: every path to a derivative
+    W = build(parse_family(family))
+    assert W.dim == 1
+    calls = []
+    original = SpanBuilder.add
+
+    def counted(self, vec):
+        calls.append(vec)
+        return original(self, vec)
+
+    monkeypatch.setattr(SpanBuilder, "add", counted)
+    layers = W._layers
+    monkeypatch.undo()
+    assert (len(calls), sum(map(len, layers))) == (adds, kept)

@@ -106,6 +106,14 @@ def test_parse_list_shares_inferred_context():
     assert f.context.names == ("y", "x")
 
 
+def test_parse_list_refuses_terms_times_variables_over_max_size():
+    # 3 terms over the shared context (y, x, z)
+    texts = ["y^2 + x*y", "z"]
+    assert len(parse_polynomial_list(texts, max_size=9)) == 2
+    with pytest.raises(ValueError, match="^3 terms times 3 variables are over the size limit of 8$"):
+        parse_polynomial_list(texts, max_size=8)
+
+
 def test_parse_dual_form_maps_to_primal():
     ctx = grid_context(2, 2)
     dl = parse_dual_form("d[1,2]", ctx)
