@@ -10,7 +10,11 @@ degree-t piece of its Macaulay inverse system, Diff(W)).  One closure
 the first partials of every row that enlarged it, each derivative
 d^beta of a series form once, by the variables the row contains.  The
 integer rows kept, grouped by derivative order, are bases of the
-layers.  Everything is read off the layers:
+layers.  Each row is keyed by packed monomials (:class:`_Keys`): one
+``int`` per exponent vector, whose order is the tuple order, so pivots
+and bases are those of tuple keys while hashing, comparing and
+differentiating a key costs a few machine words, not n entries.
+Everything is read off the layers:
 
 * the Hilbert function is ``dims[t] = dim A_t``, which is the rank of
   the degree-t catalecticant (its transpose has image A_t), for series
@@ -23,7 +27,8 @@ layers.  Everything is read off the layers:
   monomials is the degree-(s-e) piece of the colon ``I : theta``; at
   theta = 1 it is the annihilator piece I_s, the orthogonal complement
   of A_s.  Above the series degree the layer is zero, so the kernel is
-  every monomial;
+  every monomial.  These rows and kernels are keyed by exponent tuples
+  (the layer rows are unpacked as they are read);
 * minimal generator counts come from two adjacent layers: degree t has
   ``dim P_t - h(t)`` new generators, where the prolongation
   ``P_t = {g : d_i g in A_{t-1} for all i}`` is the kernel of a map on
@@ -44,7 +49,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import compress
+from operator import or_
 
 from .linalg import QMatrix, Rational, SpanBuilder, clear_denominators
 # no longer called here, but still importable under these names: the
@@ -58,7 +65,6 @@ from .poly import (
     VarContext,
     apply_operator,
     monomial_basis,
-    partial_terms,
 )
 
 
@@ -78,6 +84,61 @@ class NoVariablesError(ValueError):
 class InvariantError(RuntimeError):
     """A computed dimension broke a bound that holds for every input: the
     computation is wrong, not the input."""
+
+
+class _Keys:
+    """Exponent vectors of n variables packed into one ``int`` each, with
+    ``width = bit_length(top)`` bits per variable and variable 0 in the
+    top bits, for exponents up to ``top``.  Int order is then exactly the
+    tuple order, so the pivots of a span of packed rows are those of the
+    same rows keyed by tuples.  Every row built from the layers keeps its
+    exponents within those of the series (derivatives lower them), so
+    one width serves all of them."""
+
+    def __init__(self, n: int, top: int) -> None:
+        self.n = n
+        self.width = max(top.bit_length(), 1)
+        self.mask = (1 << self.width) - 1
+        self.shifts = [self.width * (n - 1 - i) for i in range(n)]
+
+    def pack(self, m: Monomial) -> int:
+        shifts, mask = self.shifts, self.mask
+        key = 0
+        # only the nonzero exponents are checked and shifted in: a wide
+        # context costs one C-level scan per monomial
+        for i in compress(range(self.n), m):
+            if m[i] > mask:
+                raise InvariantError(
+                    f"exponent {m[i]} does not fit in a {self.width}-bit key field"
+                )
+            key |= m[i] << shifts[i]
+        return key
+
+    def pack_row(self, terms: dict) -> dict:
+        """``terms`` with denominators cleared, keyed by packed exponents."""
+        return {self.pack(m): c for m, c in clear_denominators(terms).items()}
+
+    def unpack(self, key: int) -> Monomial:
+        mask = self.mask
+        return tuple((key >> s) & mask for s in self.shifts)
+
+    def partial(self, row: dict, i: int) -> dict:
+        """d/dx_i of a packed row, like :func:`poly.partial_terms`."""
+        s = self.shifts[i]
+        one, mask = 1 << s, self.mask
+        return {m - one: c * e for m, c in row.items() if (e := (m >> s) & mask)}
+
+    def variables(self, row: dict) -> list[int]:
+        """Indices of the variables that occur in ``row``, ascending: the
+        only ones whose partial of it is not zero.  The keys are ORed and
+        the set fields walked from the top, one step per variable found."""
+        seen = reduce(or_, row, 0)
+        out = []
+        while seen:
+            i = self.n - 1 - (seen.bit_length() - 1) // self.width
+            out.append(i)
+            seen &= (1 << self.shifts[i]) - 1
+        return out
 
 
 @dataclass(frozen=True)
@@ -141,50 +202,52 @@ class LinearSeries:
         return len(self.reduced_basis)
 
     @cached_property
+    def _keys(self) -> _Keys:
+        """Packed keys wide enough for every exponent of the series."""
+        top = max(max(m, default=0) for f in self.reduced_basis for m in f.terms)
+        return _Keys(len(self.context), top)
+
+    @cached_property
     def _layers(self) -> tuple[list[dict], ...]:
         """Derivative layers A_0, ..., A_d indexed by degree, each a basis
-        of independent integer rows: the groups of :func:`_closure`
-        started from the series, reversed."""
-        tops = [clear_denominators(f.terms) for f in self.reduced_basis]
-        return tuple(reversed(_closure(tops)))
+        of independent integer rows keyed by :attr:`_keys`: the groups of
+        :func:`_closure` started from the packed series, reversed."""
+        keys = self._keys
+        tops = [keys.pack_row(f.terms) for f in self.reduced_basis]
+        return tuple(reversed(_closure(tops, keys)))
 
     @cached_property
     def _generator_degrees(self) -> GeneratorDegrees:
         return _count_generators(self)
 
 
-def _variables(row: dict) -> list[int]:
-    """Indices of the variables that occur in ``row``, ascending: the
-    only ones whose partial of it is not zero."""
-    return [i for i, col in enumerate(zip(*row)) if any(col)]
-
-
-def _closure(tops: list[dict]) -> list[list[dict]]:
+def _closure(tops: list[dict], keys: _Keys) -> list[list[dict]]:
     """Independent integer rows spanning the derivative closure of
-    ``tops``, grouped by derivative order.
+    ``tops`` (rows keyed by ``keys``), grouped by derivative order.
 
     Each row kept is ``d^beta tops[j]`` for a multiset beta of variables,
-    held as ``(j, *sorted beta)``.  A row that enlarges the one span is
+    held as ``(j, packed beta)``.  A row that enlarges the one span is
     differentiated by the variables it contains; each ``(j, beta)`` of
     the next order is tried once, because ``d^beta tops[j]`` does not
     depend on the order of differentiation, so a second path to it gives
-    the same vector, already in the span.  The loop ends, as each order
-    drops degree.  A homogeneous row is eliminated only by rows of its
-    own degree (its pivot fixes it), so for forms of degree d group k is
-    a basis of A_{d-k}."""
+    the same vector, already in the span.  beta stays within the
+    exponents of ``tops[j]``, so it fits the same key fields.  The loop
+    ends, as each order drops degree.  A homogeneous row is eliminated
+    only by rows of its own degree (its pivot fixes it), so for forms of
+    degree d group k is a basis of A_{d-k}."""
     span = SpanBuilder()
-    group = [(row, (j,)) for j, row in enumerate(tops) if span.add(row)]
+    group = [(row, (j, 0)) for j, row in enumerate(tops) if span.add(row)]
     groups = []
     while group:
         groups.append([row for row, _ in group])
         tried = set()
         nxt = []
-        for row, (j, *beta) in group:
-            for i in _variables(row):
-                key = (j, *sorted((*beta, i)))
+        for row, (j, beta) in group:
+            for i in keys.variables(row):
+                key = (j, beta + (1 << keys.shifts[i]))
                 if key not in tried:
                     tried.add(key)
-                    dv = partial_terms(row, i)
+                    dv = keys.partial(row, i)
                     if span.add(dv):
                         nxt.append((dv, key))
         group = nxt
@@ -287,7 +350,9 @@ def derivative_kernel_dims(W: LinearSeries, partial: DualForm) -> list[int]:
     when A_t is all of R_t (h(t) = C(n+t-1, t)): D maps R_t onto R_{t-1},
     so the rank is C(n+t-2, t-1).  Otherwise the images of the basis
     rows of A_t go into one span, and adding stops once its dimension
-    reaches h(t-1), since ``D(A_t)`` lies in A_{t-1}.
+    reaches h(t-1), since ``D(A_t)`` lies in A_{t-1}.  The layer rows
+    stay packed: each image is a sum of ``W._keys.partial`` rows, keyed
+    like the layer below.
     """
     if not isinstance(partial, DualForm) or partial.context != W.context:
         raise ContextMismatchError("expected a DualForm over the series context")
@@ -295,6 +360,7 @@ def derivative_kernel_dims(W: LinearSeries, partial: DualForm) -> list[int]:
         raise ValueError("derivative direction must be a nonzero linear dual form")
     n = len(W.context)
     dims = hilbert_function(W)
+    keys = W._keys
     coeffs = [(m.index(1), c) for m, c in clear_denominators(partial.terms).items()]
     out = [dims[0]]
     for t in range(1, len(dims)):
@@ -306,7 +372,7 @@ def derivative_kernel_dims(W: LinearSeries, partial: DualForm) -> list[int]:
         for row in W._layers[t]:
             image: dict = {}
             for i, c in coeffs:
-                for k, v in partial_terms(row, i).items():
+                for k, v in keys.partial(row, i).items():
                     image[k] = image.get(k, 0) + c * v
             images.add(image)
             if images.dim == dims[t - 1]:
@@ -337,10 +403,12 @@ def _colon(W: LinearSeries, theta_terms: dict, e: int, t: int) -> list[DualForm]
     column indices, so pivots are the first nonzero columns.
     """
     s = t + e
+    unpack = W._keys.unpack
     span = SpanBuilder()
     for g in W._layers[s] if s <= W.degree else ():
         row: dict[Monomial, Rational] = {}
         for mu, c in g.items():
+            mu = unpack(mu)
             wc = _weight(mu) * c
             for gamma, ce in theta_terms.items():
                 beta = tuple(a - b for a, b in zip(mu, gamma))
@@ -405,8 +473,16 @@ def minimal_generator_degrees(W: LinearSeries) -> GeneratorDegrees:
 
 
 def _count_generators(W: LinearSeries) -> GeneratorDegrees:
+    """The count of :func:`minimal_generator_degrees`, made on the packed
+    layer rows.  The image of ``(u_i)`` at the pair i < k and the
+    monomial m is keyed ``((i * n + k) << n * width) | m``: pair-major,
+    as a ``((i, k), m)`` tuple would be, so the pivots follow the pairs
+    first (a monomial-major key gives the same rank after more
+    eliminations)."""
     n = len(W.context)
     layers = W._layers
+    keys = W._keys
+    size = n * keys.width
     counts: dict[int, int] = {}
     for t in range(1, W.degree + 2):
         below = layers[t - 1]
@@ -416,10 +492,11 @@ def _count_generators(W: LinearSeries) -> GeneratorDegrees:
         else:
             images = SpanBuilder()
             for row in below:
-                grad = [(k, partial_terms(row, k)) for k in _variables(row)]
+                grad = [(k, keys.partial(row, k)) for k in keys.variables(row)]
                 for i in range(n):
                     images.add({
-                        ((i, k) if i < k else (k, i), m): c if i < k else -c
+                        ((i * n + k if i < k else k * n + i) << size) | m:
+                            c if i < k else -c
                         for k, dk in grad
                         if k != i
                         for m, c in dk.items()
@@ -526,9 +603,10 @@ def diff_closure_dim(f: Polynomial) -> int:
     """Dimension of the span of all iterated partials of f (f included).
 
     Works for non-homogeneous input: the number of rows :func:`_closure`
-    keeps from f with its denominators cleared, taking each derivative
-    d^beta f once, by the variables it contains.
+    keeps from f, packed with its denominators cleared, taking each
+    derivative d^beta f once, by the variables it contains.
     """
     if f.is_zero:
         raise ValueError("the derivative closure of zero is not defined")
-    return sum(map(len, _closure([clear_denominators(f.terms)])))
+    keys = _Keys(len(f.context), max(max(m, default=0) for m in f.terms))
+    return sum(map(len, _closure([keys.pack_row(f.terms)], keys)))

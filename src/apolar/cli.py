@@ -9,8 +9,9 @@ output.
 
 Exit codes: 0 success, 1 parse failure (bad polynomial text, bad dual
 form, bad decomposition coefficient, unreadable file), 2 invalid
-parameters, an argument over its limit, or an oversized form file or
-builtin id.
+parameters, an argument over its limit, an oversized form file or
+builtin id, or (``bounds``, ``apolar-gens``) a generator count over its
+size limit.
 A completed verify-decomposition exits 0 whether the verdict is pass or fail.
 """
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -46,6 +48,8 @@ from .poly import (
 VERIFY_N_CAP = 5  # verify mode recomputes columns up to this n
 # inputs over these limits exit 2 before any work
 MAX_LENGTH_BOUND = 500_000  # apolar length of a form file (a-priori) or builtin
+# unknowns the generator count eliminates (checked once the layers are built)
+MAX_PROLONGATION_SIZE = 200_000
 MAX_BUILD_SIZE = 10_000_000  # terms times variables of a builtin or form file
 MAX_TRIALS = 1000  # bounds --trials
 MAX_TABLE_N = 100  # table --n-max
@@ -281,6 +285,23 @@ def _at_most(flag: str, value: int, limit: int) -> None:
         raise CliError(f"error: {flag} must be at most {limit}", 2)
 
 
+def _check_prolongation_size(W: LinearSeries, form_id: str) -> None:
+    """Exit 2 before the generator count if it would eliminate more than
+    MAX_PROLONGATION_SIZE unknowns: ``n * h(t-1)`` for each degree t whose
+    layer t-1 is not all of R_{t-1} (see
+    ``apolarity.minimal_generator_degrees``)."""
+    n = len(W.context)
+    size = sum(
+        n * h for s, h in enumerate(hilbert_function(W)) if h != math.comb(n + s - 1, s)
+    )
+    if size > MAX_PROLONGATION_SIZE:
+        raise CliError(
+            f"error: {form_id}: counting its annihilator generators means "
+            f"eliminating {size} unknowns, over the limit of {MAX_PROLONGATION_SIZE}",
+            2,
+        )
+
+
 def cmd_bounds(args) -> str:
     W, form_id, spec = load_series(args.form)
     if args.trials < 1:
@@ -297,6 +318,7 @@ def cmd_bounds(args) -> str:
     assertion = InvarianceAssertion(
         args.assert_invariance, args.invariance_note or ""
     )
+    _check_prolongation_size(W, form_id)
     det_n = spec.params[0] if spec and spec.family == "det" else None
     report = bound_report(
         W,
@@ -338,6 +360,7 @@ def cmd_apolar_gens(args) -> str:
     max_degree = args.max_degree if args.max_degree is not None else W.degree + 1
     if max_degree < 1:
         raise CliError("error: --max-degree must be at least 1", 2)
+    _check_prolongation_size(W, form_id)
     gens = minimal_generators(W, max_degree)
     delta = minimal_generator_degrees(W).delta
     return render_generators(form_id, gens, delta, args.format)

@@ -13,21 +13,26 @@ The dense side is only an adapter for callers of the public
 :func:`rank` and :func:`kernel_basis` feed its rows to the same engine.
 
 Row form: a vector is a sparse map from orderable keys to rationals.
-Its denominators are cleared on entry (an all-``int`` vector, as every
-layer, prolongation and kernel-of-derivative vector is, skips that
-pass), and every stored row is a primitive integer vector (entries with
-gcd 1, positive pivot) whose pivot is its largest key.  A vector meeting
-a stored row at that row's pivot ``p`` is eliminated fraction-free, as
-in Bareiss's method: with ``g = gcd(v[p], row[p])`` it becomes
+Layer rows, and the prolongation and kernel-of-derivative vectors made
+from them, use packed int keys (one ``int`` per exponent vector, see
+``apolarity._Keys``) whose order equals the exponent-tuple order;
+annihilator and colon rows use exponent tuples.  Denominators are
+cleared on entry (an all-``int`` vector, as every one of those packed
+vectors is, skips that pass), and every stored row is a primitive
+integer vector (entries with gcd 1, positive pivot) whose pivot is its
+largest key.  A vector meeting a stored row at that row's pivot ``p`` is
+eliminated fraction-free, as in Bareiss's method: with
+``g = gcd(v[p], row[p])`` it becomes
 ``v * (row[p]/g) - row * (v[p]/g)``, so entries stay integers, and its
 content is divided out before it is stored.
 
 Dense matrices enter with column ``c`` keyed as ``-c``, so each pivot is
 its row's first nonzero column (exponent-tuple keys in descending
-monomial order behave the same way).  Determinism of golden output rests on
-this: the reduced echelon form of a matrix is unique, and kernel bases
-are the reduced-echelon ones (one vector per free column, free columns
-in ascending index).
+monomial order behave the same way, and so do the packed int keys of
+layer rows, whose order equals the tuple order).  Determinism of golden
+output rests on this: the reduced echelon form of a matrix is unique,
+and kernel bases are the reduced-echelon ones (one vector per free
+column, free columns in ascending index).
 """
 
 from __future__ import annotations
@@ -103,11 +108,11 @@ def _eliminate(v: dict, a: int, lead: int, tail: dict) -> tuple[dict, int]:
 class SpanBuilder:
     """Incremental sparse echelon form over the rationals.
 
-    Vectors are mappings from orderable keys (exponent tuples, or
-    negated column indices for matrices) to rational coefficients.  Rows
-    are stored as primitive integer vectors, one per pivot, the pivot
-    being the row's largest key; see the module docstring for the
-    elimination step.
+    Vectors are mappings from orderable keys (packed monomial ints or
+    exponent tuples, or negated column indices for matrices) to rational
+    coefficients.  Rows are stored as primitive integer vectors, one per
+    pivot, the pivot being the row's largest key; see the module
+    docstring for the elimination step.
     """
 
     def __init__(self) -> None:

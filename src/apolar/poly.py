@@ -108,7 +108,7 @@ class Polynomial:
                 raise PolyError(
                     f"monomial of length {len(mono)} in a {n}-variable context"
                 )
-            if any(e < 0 for e in mono):
+            if min(mono, default=0) < 0:
                 raise PolyError("negative exponent in monomial")
             c = Fraction(c)
             if c:

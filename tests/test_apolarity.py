@@ -558,6 +558,7 @@ from apolar import InvariantError, LinearSeries, parse_polynomial
 W = LinearSeries.of_form(parse_polynomial("x^3 + x*y^2"))
 true_layers = ap.LinearSeries._layers.func
 true_degrees = ap.minimal_generator_degrees
+true_keys = ap._Keys
 
 
 def layers(*dims):
@@ -569,6 +570,11 @@ def shrunk_layer_2(self):
     # the true layer 2 without its last row
     a0, a1, a2, a3 = true_layers(self)
     return (a0, a1, a2[:-1], a3)
+
+
+def one_bit_keys(n, top):
+    # keys one bit wide per variable, too narrow for the exponent 3 of x^3
+    return true_keys(n, 1)
 
 
 def overcounted(W):
@@ -589,6 +595,7 @@ cases = {
     "generator_listing": (
         ap, "minimal_generator_degrees", overcounted, ap.minimal_generators
     ),
+    "key_width": (ap, "_Keys", one_bit_keys, ap.hilbert_function),
 }
 owner, name, patched, fn = cases[sys.argv[1]]
 setattr(owner, name, patched)
@@ -605,6 +612,7 @@ _EXPECTED_MESSAGE = {
     "layer_growth": "partials of layer",
     "generators": "prolongation of layer 2",
     "generator_listing": "but the prolongation counts",
+    "key_width": "exponent 3 does not fit in a 1-bit key field",
 }
 
 
@@ -612,7 +620,7 @@ _EXPECTED_MESSAGE = {
     "case",
     [
         "hilbert_start", "hilbert_cap", "layer_top", "layer_growth", "generators",
-        "generator_listing",
+        "generator_listing", "key_width",
     ],
 )
 def test_invariant_checks_survive_optimized_mode(case):

@@ -340,6 +340,25 @@ def test_form_file_of_many_variables_is_bounded_by_its_size(tmp_path, capsys, k,
         assert code == 0 and f"[1, {k + 1}, {k}]" in out
 
 
+@pytest.mark.parametrize("command", ["hilbert", "bounds", "apolar-gens"])
+def test_wide_series_is_refused_before_its_generator_count(tmp_path, capsys, command):
+    # 2000 lines x[i]*y: the layers are small, but the generator count
+    # would eliminate 2001 * 2000 unknowns at degree 3
+    path = tmp_path / "wide.txt"
+    path.write_text("".join(f"x[{i}]*y\n" for i in range(1, 2001)), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, command, "--form", str(path))
+    if command == "hilbert":
+        assert code == 0 and "[1, 2001, 2000]" in out
+        return
+    assert time.perf_counter() - start < 3
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: {path}: counting its annihilator generators means eliminating "
+        f"4002000 unknowns, over the limit of {cli.MAX_PROLONGATION_SIZE}\n"
+    )
+
+
 def test_one_variable_degree_20000_is_under_the_length_bound(tmp_path):
     path = tmp_path / "power.txt"
     path.write_text("x^20000\n", encoding="utf-8")
@@ -371,6 +390,23 @@ def test_one_variable_degree_20000_is_under_the_length_bound(tmp_path):
         (
             ("bounds", "--form", "builtin:det:2", "--trials", "4"), {"MAX_TRIALS": 3}, True,
             "--trials must be at most 3",
+        ),
+        # the generator count of det:3 eliminates 9 * 9 + 9 * 1 unknowns
+        (("bounds", "--form", "builtin:det:3"), {"MAX_PROLONGATION_SIZE": 90}, False, ""),
+        (
+            ("bounds", "--form", "builtin:det:3"), {"MAX_PROLONGATION_SIZE": 89}, True,
+            "builtin:det:3: counting its annihilator generators means eliminating "
+            "90 unknowns, over the limit of 89",
+        ),
+        (
+            ("apolar-gens", "--form", "builtin:det:3"), {"MAX_PROLONGATION_SIZE": 90},
+            False, "",
+        ),
+        (
+            ("apolar-gens", "--form", "builtin:det:3"), {"MAX_PROLONGATION_SIZE": 89},
+            True,
+            "builtin:det:3: counting its annihilator generators means eliminating "
+            "90 unknowns, over the limit of 89",
         ),
         (("table", "det", "--n-max", "3"), {"MAX_TABLE_N": 3}, False, ""),
         (

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apolar import (
+    InvariantError,
     LinearSeries,
     Polynomial,
     VarContext,
@@ -35,10 +36,11 @@ from apolar import (
     parse_family,
     parse_polynomial,
 )
-from apolar.apolarity import _closure
+from apolar.apolarity import _closure, _Keys
 from apolar.catalog import build
 from apolar.cli import main
 from apolar.linalg import SpanBuilder, clear_denominators
+from apolar.poly import partial_terms
 from oracles import (
     naive_catalecticant,
     naive_catalecticant_hilbert,
@@ -175,15 +177,63 @@ def test_generator_degrees_of_a_linear_form_in_many_variables():
 
 
 # ----------------------------------------------------------------------
+# packed monomial keys: the layer rows are keyed by ints that order,
+# differentiate and list variables like the exponent tuples they pack
+
+
+@st.composite
+def packed_keys(draw):
+    n = draw(st.integers(1, 40))
+    keys = _Keys(n, draw(st.integers(0, 15)))
+    # exponents up to the full key field, which may exceed the top asked for
+    mono = st.tuples(*[st.integers(0, keys.mask)] * n)
+    row = draw(st.dictionaries(mono, st.integers(-9, 9).filter(bool), max_size=8))
+    return keys, mono, row
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_keys(), st.data())
+def test_packing_preserves_order_and_round_trips(case, data):
+    keys, mono, _ = case
+    a, b = data.draw(mono), data.draw(mono)
+    assert keys.unpack(keys.pack(a)) == a
+    assert (keys.pack(a) < keys.pack(b)) == (a < b)
+    assert (keys.pack(a) == keys.pack(b)) == (a == b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_keys(), st.data())
+def test_packed_partial_and_variables_match_the_tuple_routes(case, data):
+    keys, _, row = case
+    packed = {keys.pack(m): c for m, c in row.items()}
+    i = data.draw(st.integers(0, keys.n - 1))
+    got = [(keys.unpack(m), c) for m, c in keys.partial(packed, i).items()]
+    assert got == list(partial_terms(row, i).items())
+    assert keys.variables(packed) == [
+        j for j in range(keys.n) if any(m[j] for m in row)
+    ]
+
+
+def test_an_exponent_wider_than_the_key_field_is_an_invariant_error():
+    keys = _Keys(3, 5)  # three bits per variable
+    assert keys.unpack(keys.pack((7, 0, 7))) == (7, 0, 7)
+    with pytest.raises(InvariantError, match="8 does not fit in a 3-bit"):
+        keys.pack((0, 8, 0))
+
+
+# ----------------------------------------------------------------------
 # the closure keeps the rows of the plain loop, and tries each d^beta once
 
 
 def check_closure_rows(forms):
+    n = len(forms[0].context)
     tops = [clear_denominators(f.terms) for f in forms]
-    got = _closure(tops)
-    want = reference_closure(tops, len(forms[0].context))
-    # key order too: later passes walk each row in this order
-    assert [[list(r.items()) for r in g] for g in got] == [
+    keys = _Keys(n, max(max(m, default=0) for top in tops for m in top))
+    got = _closure([keys.pack_row(top) for top in tops], keys)
+    want = reference_closure(tops, n)
+    # the rows unpacked, key order too: later passes walk each row in
+    # this order
+    assert [[[(keys.unpack(m), c) for m, c in r.items()] for r in g] for g in got] == [
         [list(r.items()) for r in g] for g in want
     ]
 
