@@ -391,6 +391,16 @@ def test_one_variable_degree_20000_is_under_the_length_bound(tmp_path):
             ("bounds", "--form", "builtin:det:2", "--trials", "4"), {"MAX_TRIALS": 3}, True,
             "--trials must be at most 3",
         ),
+        (("table", "det", "--n-max", "3"), {"MAX_TABLE_N": 3}, False, ""),
+        (
+            ("table", "det", "--n-max", "4"), {"MAX_TABLE_N": 3}, True,
+            "--n-max must be at most 3",
+        ),
+        (("matmul", "--p", "2", "--q", "2", "--r", "2"), {"MAX_MATMUL_SIZE": 2}, False, ""),
+        (
+            ("matmul", "--p", "2", "--q", "2", "--r", "3"), {"MAX_MATMUL_SIZE": 2}, True,
+            "--r must be at most 2",
+        ),
         # the generator count of det:3 eliminates 9 * 9 + 9 * 1 unknowns
         (("bounds", "--form", "builtin:det:3"), {"MAX_PROLONGATION_SIZE": 90}, False, ""),
         (
@@ -407,16 +417,6 @@ def test_one_variable_degree_20000_is_under_the_length_bound(tmp_path):
             True,
             "builtin:det:3: counting its annihilator generators means eliminating "
             "90 unknowns, over the limit of 89",
-        ),
-        (("table", "det", "--n-max", "3"), {"MAX_TABLE_N": 3}, False, ""),
-        (
-            ("table", "det", "--n-max", "4"), {"MAX_TABLE_N": 3}, True,
-            "--n-max must be at most 3",
-        ),
-        (("matmul", "--p", "2", "--q", "2", "--r", "2"), {"MAX_MATMUL_SIZE": 2}, False, ""),
-        (
-            ("matmul", "--p", "2", "--q", "2", "--r", "3"), {"MAX_MATMUL_SIZE": 2}, True,
-            "--r must be at most 2",
         ),
     ],
 )
