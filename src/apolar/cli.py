@@ -48,7 +48,8 @@ from .poly import (
 VERIFY_N_CAP = 5  # verify mode recomputes columns up to this n
 # inputs over these limits exit 2 before any work
 MAX_LENGTH_BOUND = 500_000  # apolar length of a form file (a-priori) or builtin
-# unknowns the generator count eliminates (checked once the layers are built)
+# unknowns the generator count eliminates (checked before the count: from
+# the closed form for a builtin that has one, else once the layers are built)
 MAX_PROLONGATION_SIZE = 200_000
 MAX_BUILD_SIZE = 10_000_000  # terms times variables of a builtin or form file
 MAX_TRIALS = 1000  # bounds --trials
@@ -285,15 +286,25 @@ def _at_most(flag: str, value: int, limit: int) -> None:
         raise CliError(f"error: {flag} must be at most {limit}", 2)
 
 
-def _check_prolongation_size(W: LinearSeries, form_id: str) -> None:
-    """Exit 2 before the generator count if it would eliminate more than
-    MAX_PROLONGATION_SIZE unknowns: ``n * h(t-1)`` for each degree t whose
-    layer t-1 is not all of R_{t-1} (see
-    ``apolarity.minimal_generator_degrees``)."""
+def _prolongation_size(W: LinearSeries, spec: FamilySpec | None) -> int:
+    """Unknowns the generator count eliminates: ``n * h(t-1)`` for each
+    degree t whose layer t-1 is not all of R_{t-1} (see
+    ``apolarity.minimal_generator_degrees``).  For a builtin with a
+    closed-form Hilbert function h comes from the formula, so no layer
+    is built; n is always the context's, which can exceed h(1)
+    (``matmul``)."""
     n = len(W.context)
-    size = sum(
-        n * h for s, h in enumerate(hilbert_function(W)) if h != math.comb(n + s - 1, s)
-    )
+    try:
+        dims = catalog.closed_form_hilbert(spec) if spec else hilbert_function(W)
+    except catalog.NoClosedFormError:
+        dims = hilbert_function(W)
+    return sum(n * h for s, h in enumerate(dims) if h != math.comb(n + s - 1, s))
+
+
+def _check_prolongation_size(W: LinearSeries, form_id: str, spec: FamilySpec | None) -> None:
+    """Exit 2 before the generator count if it would eliminate more than
+    MAX_PROLONGATION_SIZE unknowns (:func:`_prolongation_size`)."""
+    size = _prolongation_size(W, spec)
     if size > MAX_PROLONGATION_SIZE:
         raise CliError(
             f"error: {form_id}: counting its annihilator generators means "
@@ -318,7 +329,7 @@ def cmd_bounds(args) -> str:
     assertion = InvarianceAssertion(
         args.assert_invariance, args.invariance_note or ""
     )
-    _check_prolongation_size(W, form_id)
+    _check_prolongation_size(W, form_id, spec)
     det_n = spec.params[0] if spec and spec.family == "det" else None
     report = bound_report(
         W,
@@ -356,11 +367,11 @@ def cmd_hilbert(args) -> str:
 
 
 def cmd_apolar_gens(args) -> str:
-    W, form_id, _ = load_series(args.form)
+    W, form_id, spec = load_series(args.form)
     max_degree = args.max_degree if args.max_degree is not None else W.degree + 1
     if max_degree < 1:
         raise CliError("error: --max-degree must be at least 1", 2)
-    _check_prolongation_size(W, form_id)
+    _check_prolongation_size(W, form_id, spec)
     gens = minimal_generators(W, max_degree)
     delta = minimal_generator_degrees(W).delta
     return render_generators(form_id, gens, delta, args.format)

@@ -16,9 +16,12 @@ Row form: a vector is a sparse map from orderable keys to rationals.
 Layer rows, and the prolongation and kernel-of-derivative vectors made
 from them, use packed int keys (one ``int`` per exponent vector, see
 ``apolarity._Keys``) whose order equals the exponent-tuple order;
-annihilator and colon rows use exponent tuples.  Denominators are
-cleared on entry (an all-``int`` vector, as every one of those packed
-vectors is, skips that pass), and every stored row is a primitive
+annihilator and colon rows use exponent tuples.  On entry a vector is
+copied, its zeros dropped and its denominators cleared, each only when a
+C-level check finds the need (``0 in`` its values, and ``math.gcd`` of
+them, which raises ``TypeError`` on a ``Fraction``): every packed vector
+is built integer, so it pays one ``dict`` copy and two passes in C, not
+a Python-level pass per entry.  Every stored row is a primitive
 integer vector (entries with gcd 1, positive pivot) whose pivot is its
 largest key.  A vector meeting a stored row at that row's pivot ``p`` is
 eliminated fraction-free, as in Bareiss's method: with
@@ -126,13 +129,20 @@ class SpanBuilder:
     def add(self, vec: Mapping) -> bool:
         """Insert ``vec``; returns True iff it enlarged the span.
 
-        ``vec`` has its denominators cleared (only when some entry is not
-        an ``int``) and is eliminated against the stored rows until its
-        largest key is not a pivot (lower keys may remain unreduced);
-        nothing is left iff it lay in the span.
+        ``vec`` is copied with C-level checks only: its zero entries are
+        dropped when ``0 in`` its values finds one, and its denominators
+        are cleared when ``math.gcd`` of its values raises ``TypeError``
+        (on a ``Fraction``, integral or not).  It is then eliminated
+        against the stored rows until its largest key is not a pivot
+        (lower keys may remain unreduced); nothing is left iff it lay in
+        the span.
         """
-        v = {k: c for k, c in vec.items() if c}
-        if any(type(c) is not int for c in v.values()):
+        v = dict(vec)
+        if 0 in v.values():
+            v = {k: c for k, c in v.items() if c}
+        try:
+            math.gcd(*v.values())
+        except TypeError:
             v = clear_denominators(v)
         rows = self._rows
         while v:
@@ -147,7 +157,8 @@ class SpanBuilder:
         if v[p] < 0:
             g = -g
         lead = v.pop(p) // g
-        self._rows[p] = (lead, {k: c // g for k, c in v.items()})
+        # ``v`` is this call's own copy, so a primitive one is stored as is
+        self._rows[p] = (lead, v if g == 1 else {k: c // g for k, c in v.items()})
         return True
 
     def rows(self) -> Iterator[dict]:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from apolar import apolarity, cli
+from apolar import apolarity, catalog, cli
 from apolar.cli import build_parser, fmt_cell, main
 from fractions import Fraction
 
@@ -357,6 +357,39 @@ def test_wide_series_is_refused_before_its_generator_count(tmp_path, capsys, com
         f"error: {path}: counting its annihilator generators means eliminating "
         f"4002000 unknowns, over the limit of {cli.MAX_PROLONGATION_SIZE}\n"
     )
+
+
+@pytest.mark.parametrize("argv", [("bounds", "--trials", "1"), ("apolar-gens",)])
+def test_builtin_over_the_count_limit_is_refused_before_any_layer(capsys, monkeypatch, argv):
+    # det:8 would eliminate 819520 unknowns; its closed-form Hilbert
+    # function gives that before any derivative layer is built
+    calls = []
+    original = apolarity._closure
+
+    def closure(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(apolarity, "_closure", closure)
+    code, out, err = run_cli(capsys, *argv, "--form", "builtin:det:8")
+    assert calls == []
+    assert code == 2 and out == ""
+    assert err == (
+        "error: builtin:det:8: counting its annihilator generators means eliminating "
+        f"819520 unknowns, over the limit of {cli.MAX_PROLONGATION_SIZE}\n"
+    )
+
+
+@pytest.mark.parametrize("size", [2, 3])
+@pytest.mark.parametrize(
+    "family", [f for f, record in catalog._FAMILIES.items() if record.hilbert]
+)
+def test_count_size_from_the_closed_form_equals_the_size_from_the_layers(family, size):
+    # matmul:2,2,2 has h(1) = 8 over 12 variables: n stays the context's
+    arity = len(catalog._FAMILIES[family].params.split(","))
+    spec = catalog.FamilySpec(family, (size,) * arity)
+    W = catalog.build(spec)
+    assert cli._prolongation_size(W, spec) == cli._prolongation_size(W, None) > 0
 
 
 def test_one_variable_degree_20000_is_under_the_length_bound(tmp_path):

@@ -36,7 +36,8 @@ from apolar import (
     parse_family,
     parse_polynomial,
 )
-from apolar.apolarity import _closure, _Keys
+from apolar import linalg
+from apolar.apolarity import _closure, _count_generators, _Keys
 from apolar.catalog import build
 from apolar.cli import main
 from apolar.linalg import SpanBuilder, clear_denominators
@@ -120,17 +121,21 @@ def test_hilbert_cli_matches_closed_form_beyond_dense_reach(family, capsys):
     assert doc["dims"] == list(closed_form_hilbert(parse_family(family)))
 
 
-def test_dense_series_matches_oracle():
-    # every monomial present: the layers fill most of each S_t
-    ctx = VarContext(tuple(f"x{i}" for i in range(4)))
-    monos = naive_monomials(4, 5)
-    W = LinearSeries.of_forms(
+def dense_series(n, d):
+    """Three forms holding every monomial of degree d in n variables."""
+    ctx = VarContext(tuple(f"x{i}" for i in range(n)))
+    monos = naive_monomials(n, d)
+    return LinearSeries.of_forms(
         [
             Polynomial(ctx, {m: (i * k) % 7 - 3 for i, m in enumerate(monos)})
             for k in (1, 2, 5)
         ]
     )
-    check_against_oracle(W)
+
+
+def test_dense_series_matches_oracle():
+    # every monomial present: the layers fill most of each S_t
+    check_against_oracle(dense_series(4, 5))
 
 
 # ----------------------------------------------------------------------
@@ -264,19 +269,54 @@ def test_closure_keeps_the_reference_rows_on_dehomogenized_determinants(n, at):
     check_closure_rows([dehomogenize(F, l)])
 
 
-@pytest.mark.parametrize("family, adds, kept", [("monprod:6", 64, 64), ("det:4", 179, 70)])
+def count_calls(monkeypatch, owner, name, run):
+    """``run()`` and the number of calls it made to ``owner.name``."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    try:
+        out = run()
+    finally:
+        monkeypatch.undo()
+    return out, len(calls)
+
+
+@pytest.mark.parametrize("family, adds, kept", [("monprod:6", 64, 64), ("det:4", 153, 70)])
 def test_layers_try_each_derivative_once(monkeypatch, family, adds, kept):
-    # the plain loop makes 193 and 321 adds: every path to a derivative
+    # the plain loop makes 193 and 321 adds: every path to a derivative;
+    # det:4 makes 179 without the stop at a full order (its A_1 is R_1)
     W = build(parse_family(family))
     assert W.dim == 1
-    calls = []
-    original = SpanBuilder.add
+    layers, calls = count_calls(monkeypatch, SpanBuilder, "add", lambda: W._layers)
+    assert (calls, sum(map(len, layers))) == (adds, kept)
 
-    def counted(self, vec):
-        calls.append(vec)
-        return original(self, vec)
 
-    monkeypatch.setattr(SpanBuilder, "add", counted)
-    layers = W._layers
-    monkeypatch.undo()
-    assert (len(calls), sum(map(len, layers))) == (adds, kept)
+def test_closure_stops_at_a_full_order_on_dense_quartics(monkeypatch):
+    # A_2 and A_1 are all of R_2 and R_1: once an order holds dim R_t
+    # rows, its remaining candidates are not tried
+    W = dense_series(4, 4)
+    assert W.dim == 3
+    layers, capped = count_calls(monkeypatch, SpanBuilder, "add", lambda: W._layers)
+    assert [len(layer) for layer in layers] == [1, 4, 10, 12, 3]
+    keys = W._keys
+    tops = [keys.pack_row(f.terms) for f in W.reduced_basis]
+    groups, uncapped = count_calls(
+        monkeypatch, SpanBuilder, "add", lambda: _closure(tops, keys)
+    )
+    assert (capped, uncapped) == (30, 74)
+    assert groups == list(reversed(layers))
+    check_closure_rows(W.reduced_basis)
+
+
+def test_generator_count_of_a_dense_series_eliminates_at_most_its_pinned_steps(monkeypatch):
+    # 426 steps when the n images of one row went in together
+    W = dense_series(4, 5)
+    W._layers
+    gd, steps = count_calls(monkeypatch, linalg, "_eliminate", lambda: _count_generators(W))
+    assert gd.counts == {4: 23}
+    assert steps <= 412

@@ -163,14 +163,26 @@ def test_span_builder_contains():
 @given(st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4), min_size=1, max_size=6))
 def test_span_builder_stores_the_same_int_rows_from_int_and_fraction_input(rows):
     # integer input skips the denominator pass; Fraction input, whole
-    # numbers included, goes through it and must store the same rows
-    as_int, as_whole, as_scaled = SpanBuilder(), SpanBuilder(), SpanBuilder()
+    # numbers included, goes through it and must store the same rows.
+    # Each form comes with and without explicit zeros, and the mixed
+    # forms hold ints beside integral and non-integral Fractions.
+    forms = [
+        lambda i, x: x,
+        lambda i, x: Fraction(x, 1),
+        lambda i, x: Fraction(x, 6),
+        lambda i, x: Fraction(x) if i % 2 else x,
+        lambda i, x: x // 2 if x % 2 == 0 else Fraction(x, 2),
+    ]
+    cases = [(f, zeros) for f in forms for zeros in (True, False)]
+    builders = [SpanBuilder() for _ in cases]
     for row in rows:
-        added = as_int.add(dict(enumerate(row)))
-        assert as_whole.add({i: Fraction(x, 1) for i, x in enumerate(row)}) == added
-        assert as_scaled.add({i: Fraction(x, 6) for i, x in enumerate(row)}) == added
-    stored = [list(b.rows()) for b in (as_int, as_whole, as_scaled)]
-    assert stored[0] == stored[1] == stored[2]
+        added = [
+            b.add({i: f(i, x) for i, x in enumerate(row) if x or zeros})
+            for b, (f, zeros) in zip(builders, cases)
+        ]
+        assert len(set(added)) == 1
+    stored = [list(b.rows()) for b in builders]
+    assert all(s == stored[0] for s in stored)
     for row in (r for rows in stored for r in rows):
         assert all(type(x) is int for x in row.values())
         assert math.gcd(*row.values()) == 1 and row[max(row)] > 0
