@@ -178,18 +178,10 @@ def derivative_bound(W: LinearSeries, partial: DualForm) -> int:
 def random_linear_dual(context: VarContext, rng: random.Random) -> DualForm:
     """Random direction with integer coefficients in [-99, 99]; an
     all-zero draw is redrawn."""
-    n = len(context)
     while True:
-        coeffs = [rng.randint(-99, 99) for _ in range(n)]
+        coeffs = [rng.randint(-99, 99) for _ in range(len(context))]
         if any(coeffs):
-            break
-    terms = {}
-    for i, c in enumerate(coeffs):
-        if c:
-            mono = [0] * n
-            mono[i] = 1
-            terms[tuple(mono)] = Fraction(c)
-    return DualForm(context, terms)
+            return DualForm.from_products(context, ((c, (i,)) for i, c in enumerate(coeffs)))
 
 
 def generic_derivative_trials(

@@ -20,7 +20,12 @@ Families
 
 Skew and symmetric matrices are represented on their independent
 coordinates only, which is what the closed-form dimension counts refer
-to.
+to.  Every family is a sum of signed products of variables, and each
+builder lists those products as context positions for
+``Polynomial.from_products``: the permutations of a determinant,
+permanent or minor (``_matrix_polynomial``), the perfect matchings of a
+Pfaffian, the one product of ``monprod`` and the q products of each
+``matmul`` entry.
 
 Each family is one record in ``_FAMILIES``, read by the spec checks,
 ``check_size``, ``build``, ``canonical_partial_text`` and
@@ -111,41 +116,28 @@ def grid_context(rows: int, cols: int, base: str = "x") -> VarContext:
     return VarContext(names)
 
 
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    inv = sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
-    return -1 if inv % 2 else 1
+def _perm_sign(perm) -> int:
+    """-1 to the number of inversions of a sequence of distinct ints."""
+    inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+    return -1 if inversions % 2 else 1
 
 
 def _matrix_polynomial(
     ctx: VarContext, entry_pos, n: int, signed: bool
 ) -> Polynomial:
-    """Sum over permutations of products of matrix entries.
-
-    ``entry_pos(i, j)`` gives the context position of the (i, j) entry,
-    or None for a structural zero.
-    """
-    terms: dict[tuple[int, ...], Rational] = {}
-    width = len(ctx)
-    for perm in itertools.permutations(range(n)):
-        mono = [0] * width
-        ok = True
-        for i, j in enumerate(perm):
-            pos = entry_pos(i, j)
-            if pos is None:
-                ok = False
-                break
-            mono[pos] += 1
-        if not ok:
-            continue
-        sign = _perm_sign(perm) if signed else 1
-        key = tuple(mono)
-        terms[key] = terms.get(key, 0) + sign
-    return Polynomial(ctx, terms)
+    """Sum over the permutations of n of the products of the matrix
+    entries they pick, signed for a determinant and unsigned for a
+    permanent.  ``entry_pos(i, j)`` gives the context position of the
+    (i, j) entry; two entries may share one (the symmetric
+    determinant), and the products then hold that variable twice."""
+    pos = [[entry_pos(i, j) for j in range(n)] for i in range(n)]
+    return Polynomial.from_products(
+        ctx,
+        (
+            (_perm_sign(perm) if signed else 1, [pos[i][j] for i, j in enumerate(perm)])
+            for perm in itertools.permutations(range(n))
+        ),
+    )
 
 
 def build_determinant(n: int, ctx: VarContext | None = None) -> Polynomial:
@@ -185,20 +177,15 @@ def pfaffian_on(ctx: VarContext, indices: tuple[int, ...]) -> Polynomial:
     index set, as a polynomial in the ambient skew context."""
     if len(indices) % 2:
         raise ValueError("a Pfaffian needs an even index set")
-    if not indices:
-        return Polynomial.constant(ctx, 1)
     order = {v: i for i, v in enumerate(indices)}
-    width = len(ctx)
-    terms: dict[tuple[int, ...], Rational] = {}
-    for pairs in _pair_partitions(tuple(indices)):
-        flat = [order[v] for pair in pairs for v in pair]
-        sign = _perm_sign(tuple(flat))
-        mono = [0] * width
-        for a, b in pairs:
-            mono[ctx.position(f"x[{a},{b}]")] += 1
-        key = tuple(mono)
-        terms[key] = terms.get(key, 0) + sign
-    return Polynomial(ctx, terms)
+    pos = {(a, b): ctx.position(f"x[{a},{b}]") for a, b in itertools.combinations(indices, 2)}
+    return Polynomial.from_products(
+        ctx,
+        (
+            (_perm_sign([order[v] for pair in pairs for v in pair]), [pos[p] for p in pairs])
+            for pairs in _pair_partitions(tuple(indices))
+        ),
+    )
 
 
 def build_pfaffian(n: int) -> Polynomial:
@@ -228,8 +215,7 @@ def monprod_context(n: int) -> VarContext:
 
 
 def build_monomial_product(n: int) -> Polynomial:
-    ctx = monprod_context(n)
-    return Polynomial(ctx, {(1,) * n: Fraction(1)})
+    return Polynomial.from_products(monprod_context(n), [(1, range(n))])
 
 
 def build_minors_series(m: int, n: int, d: int) -> list[Polynomial]:
@@ -259,18 +245,17 @@ def matmul_context(p: int, q: int, r: int) -> VarContext:
 
 def build_matmul_series(p: int, q: int, r: int) -> list[Polynomial]:
     ctx = matmul_context(p, q, r)
-    width = len(ctx)
-    forms = []
-    for i in range(1, p + 1):
-        for k in range(1, r + 1):
-            terms: dict[tuple[int, ...], Rational] = {}
-            for j in range(1, q + 1):
-                mono = [0] * width
-                mono[ctx.position(f"x[{i},{j}]")] += 1
-                mono[ctx.position(f"y[{j},{k}]")] += 1
-                terms[tuple(mono)] = Fraction(1)
-            forms.append(Polynomial(ctx, terms))
-    return forms
+    return [
+        Polynomial.from_products(
+            ctx,
+            (
+                (1, (ctx.position(f"x[{i},{j}]"), ctx.position(f"y[{j},{k}]")))
+                for j in range(1, q + 1)
+            ),
+        )
+        for i in range(1, p + 1)
+        for k in range(1, r + 1)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -289,11 +274,7 @@ def narayana(n: int, k: int) -> int:
 
 
 def double_factorial(n: int) -> int:
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
+    return math.prod(range(n, 0, -2))
 
 
 @dataclass(frozen=True)
@@ -507,16 +488,8 @@ def monomial_decomposition(n: int) -> tuple[list[Polynomial], list[Rational]]:
     coeffs = []
     for rest in itertools.product((1, -1), repeat=n - 1):
         signs = (1,) + rest
-        terms = {}
-        for i, s in enumerate(signs):
-            mono = [0] * n
-            mono[i] = 1
-            terms[tuple(mono)] = Fraction(s)
-        forms.append(Polynomial(ctx, terms))
-        prod_sign = 1
-        for s in signs:
-            prod_sign *= s
-        coeffs.append(prod_sign * scale)
+        forms.append(Polynomial.from_products(ctx, ((s, (i,)) for i, s in enumerate(signs))))
+        coeffs.append(math.prod(signs) * scale)
     return forms, coeffs
 
 

@@ -10,8 +10,9 @@ output.
 Exit codes: 0 success, 1 parse failure (bad polynomial text, bad dual
 form, bad decomposition coefficient, unreadable file), 2 invalid
 parameters, an argument over its limit, an oversized form file or
-builtin id, or (``bounds``, ``apolar-gens``) a generator count over its
-size limit.
+builtin id, (``bounds``, ``apolar-gens``) a generator count over its
+size limit, or (``verify-decomposition``) an expansion of the powers
+over its size limit.
 A completed verify-decomposition exits 0 whether the verdict is pass or fail.
 """
 
@@ -51,7 +52,9 @@ MAX_LENGTH_BOUND = 500_000  # apolar length of a form file (a-priori) or builtin
 # unknowns the generator count eliminates (checked before the count: from
 # the closed form for a builtin that has one, else once the layers are built)
 MAX_PROLONGATION_SIZE = 200_000
-MAX_BUILD_SIZE = 10_000_000  # terms times variables of a builtin or form file
+# terms times variables of a builtin or form file, and terms times
+# variables plus degree of an expanded decomposition
+MAX_BUILD_SIZE = 10_000_000
 MAX_TRIALS = 1000  # bounds --trials
 MAX_TABLE_N = 100  # table --n-max
 MAX_MATMUL_SIZE = 16  # matmul --p, --q and --r
@@ -417,7 +420,19 @@ def cmd_verify_decomposition(args) -> str:
         forms.append(form)
     if not forms:
         raise CliError(f"error: {args.file}: no summands found", 1)
-    total = evaluate_decomposition(forms, coeffs, W.degree)
+    # the d-th power of a summand in k variables has C(k+d-1, d) terms,
+    # each a product of d positions made an exponent tuple as long as the
+    # context: the work grows with terms times (n + d)
+    d, n = W.degree, len(W.context)
+    terms = sum(math.comb(len(form.terms) + d - 1, d) for form in forms)
+    if terms * (n + d) > MAX_BUILD_SIZE:
+        raise CliError(
+            f"error: {args.file}: expanding its powers means {terms} terms times "
+            f"{n} variables plus degree {d}, {terms * (n + d)}, over the limit "
+            f"of {MAX_BUILD_SIZE}",
+            2,
+        )
+    total = evaluate_decomposition(forms, coeffs, d)
     status = "pass" if total == target else "fail"
     text = f"{status} ({len(forms)} summands)"
     if status == "fail":

@@ -25,6 +25,7 @@ differentiates ``x[1,2]`` and ``d_y[1,2]`` differentiates ``y[1,2]``.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -127,10 +128,21 @@ class Polynomial:
         return cls(context, {(0,) * len(context): Fraction(c)})
 
     @classmethod
+    def from_products(cls, context: VarContext, products) -> "Polynomial":
+        """The sum of ``c * x[p_1] * ... * x[p_k]`` over the pairs
+        ``(c, (p_1, ..., p_k))`` of ``products``, where the ``p_i`` are
+        context positions.  A position may repeat, equal monomials add
+        up, and the empty product is the constant 1."""
+        n = len(context)
+        terms: dict[Monomial, Rational] = {}
+        for c, positions in products:
+            mono = _monomial(n, positions)
+            terms[mono] = terms.get(mono, 0) + c
+        return cls(context, terms)
+
+    @classmethod
     def variable(cls, context: VarContext, pos: int) -> "Polynomial":
-        mono = [0] * len(context)
-        mono[pos] = 1
-        return cls(context, {tuple(mono): Fraction(1)})
+        return cls.from_products(context, [(1, (pos,))])
 
     @classmethod
     def named_variable(cls, context: VarContext, name: str) -> "Polynomial":
@@ -281,17 +293,14 @@ def substitute(f: Polynomial, pos: int, replacement: Polynomial) -> Polynomial:
     """Substitute ``replacement`` for the variable at ``pos``."""
     if replacement.context != f.context:
         raise ContextMismatchError("replacement lives in a different context")
-    powers: dict[int, Polynomial] = {0: Polynomial.constant(f.context, 1)}
-
-    def power(k: int) -> Polynomial:
-        if k not in powers:
-            powers[k] = power(k - 1) * replacement
-        return powers[k]
-
+    # each power once, from the one below, up to the top exponent
+    powers = [Polynomial.constant(f.context, 1)]
+    for _ in range(max((m[pos] for m in f.terms), default=0)):
+        powers.append(powers[-1] * replacement)
     out: dict[Monomial, Rational] = {}
     for m, c in f.terms.items():
         rest = m[:pos] + (0,) + m[pos + 1 :]
-        for mp, cp in power(m[pos]).terms.items():
+        for mp, cp in powers[m[pos]].terms.items():
             target = tuple(a + b for a, b in zip(rest, mp))
             out[target] = out.get(target, 0) + c * cp
     return Polynomial(f.context, out)
@@ -312,12 +321,11 @@ def dehomogenize(f: Polynomial, l: Polynomial) -> Polynomial:
         raise PolyError("can only dehomogenize a homogeneous polynomial")
     coeffs = {m.index(1): c for m, c in l.terms.items()}
     j = min(coeffs)
-    aj = coeffs[j]
-    repl = Polynomial.constant(f.context, 1)
-    for i, a in coeffs.items():
-        if i != j:
-            repl = repl - Polynomial.variable(f.context, i).scale(a)
-    repl = repl.scale(Fraction(1) / aj)
+    aj = coeffs.pop(j)
+    # x_j = (1 - sum of a_i x_i over the other i) / a_j
+    repl = Polynomial.from_products(
+        f.context, [(1 / aj, ())] + [(-a / aj, (i,)) for i, a in coeffs.items()]
+    )
     return substitute(f, j, repl)
 
 
@@ -328,7 +336,14 @@ def dehomogenize(f: Polynomial, l: Polynomial) -> Polynomial:
 def evaluate_decomposition(
     linear_forms: list[Polynomial], coeffs: list[int | Rational], d: int
 ) -> Polynomial:
-    """Exact value of sum_i c_i * l_i**d."""
+    """Exact value of sum_i c_i * l_i**d.
+
+    Each power is expanded term by term by the multinomial formula
+    (:func:`_power_products`), in integers: summand i is scaled by
+    ``c_i / s_i^d``, s_i the lcm of the denominators of l_i, and every
+    such scale is an integer multiple of ``1/q``, q the lcm of their
+    denominators.  The integer terms of all powers are summed by one
+    :meth:`Polynomial.from_products`, and the sum divided by q."""
     if len(linear_forms) != len(coeffs):
         raise PolyError(
             f"{len(linear_forms)} forms against {len(coeffs)} coefficients"
@@ -336,12 +351,39 @@ def evaluate_decomposition(
     if not linear_forms:
         raise PolyError("empty decomposition")
     ctx = linear_forms[0].context
-    out = Polynomial.zero(ctx)
+    scaled = []
     for l, c in zip(linear_forms, coeffs):
+        if type(l) is not Polynomial or l.context != ctx:
+            raise ContextMismatchError("summands must be polynomials in one context")
         if not l.is_linear_form():
             raise PolyError(f"summand {format_polynomial(l)!r} is not a linear form")
-        out = out + (l**d).scale(c)
-    return out
+        s = math.lcm(*(a.denominator for a in l.terms.values()))
+        a = {m.index(1): int(v * s) for m, v in l.terms.items()}
+        scaled.append((a, Fraction(c) / s**d))
+    q = math.lcm(*(scale.denominator for _, scale in scaled))
+    total = Polynomial.from_products(
+        ctx,
+        itertools.chain.from_iterable(
+            _power_products(a, int(scale * q), d) for a, scale in scaled
+        ),
+    )
+    return total if q == 1 else total.scale(Fraction(1, q))
+
+
+def _power_products(a: dict[int, int], c: int, d: int):
+    """The terms of ``c * l**d`` for ``l = sum_p a[p] * x_p``, as
+    ``(coefficient, positions)`` pairs: by the multinomial formula, one
+    per multiset P of d positions of l, with coefficient
+    ``c * d! / prod_p e_p! * prod_p a_p^e_p`` (e_p the multiplicity of p
+    in P).  l has k variables, so there are C(k+d-1, d) terms."""
+    for positions in itertools.combinations_with_replacement(sorted(a), d):
+        # d! / prod_p e_p! as the product of C(e_1 + ... + e_j, e_j)
+        coeff, seen = c, 0
+        for p, run in itertools.groupby(positions):
+            e = len(list(run))
+            seen += e
+            coeff *= math.comb(seen, e) * a[p] ** e
+        yield coeff, positions
 
 
 # ----------------------------------------------------------------------
@@ -355,13 +397,19 @@ def monomial_basis(context: VarContext, degree: int) -> list[Monomial]:
     if degree < 0:
         return []
     n = len(context)
-    out = []
-    for positions in itertools.combinations_with_replacement(range(n), degree):
-        mono = [0] * n
-        for i in positions:
-            mono[i] += 1
-        out.append(tuple(mono))
-    return out
+    return [
+        _monomial(n, positions)
+        for positions in itertools.combinations_with_replacement(range(n), degree)
+    ]
+
+
+def _monomial(n: int, positions) -> Monomial:
+    """The exponent tuple of the product of the variables at ``positions``
+    (which may repeat) in an n-variable context."""
+    mono = [0] * n
+    for i in positions:
+        mono[i] += 1
+    return tuple(mono)
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ rather than an oracle, and says so.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from apolar import Polynomial, monomial_basis
 from apolar.linalg import SpanBuilder
@@ -251,15 +251,22 @@ def reference_closure(tops, n):
     every row kept, by every variable and along every path, to one
     ``SpanBuilder``.  It shares the span and ``partial_terms`` with the
     package, so it pins which rows the closure keeps, in what order and
-    with what integer entries; whether they span the closure is checked
+    with what integer entries (each divided by the gcd of its entries,
+    as the closure keeps them); whether they span the closure is checked
     against the naive routes above."""
     span = SpanBuilder()
-    group = [row for row in tops if span.add(row)]
+    group = [primitive(row) for row in tops if span.add(row)]
     groups = []
     while group:
         groups.append(group)
         group = [
-            dv for row in group for i in range(n)
+            primitive(dv) for row in group for i in range(n)
             if (dv := partial_terms(row, i)) and span.add(dv)
         ]
     return groups
+
+
+def primitive(row):
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return {m: c // g for m, c in row.items()}

@@ -171,6 +171,13 @@ def test_bernardi_ranestad_upper_values():
     assert bernardi_ranestad_upper(p("x^4", ctx), p("x", ctx)) == 1
 
 
+def test_bernardi_ranestad_upper_of_a_high_power():
+    # dehomogenizing x^5000 at x builds 5000 powers of the replacement:
+    # one stack frame each would overflow the recursion limit
+    ctx = VarContext.of("x")
+    assert bernardi_ranestad_upper(p("x^5000", ctx), p("x", ctx)) == 1
+
+
 @pytest.mark.parametrize("n, value", [(4, 68), (5, 250)])
 def test_bernardi_ranestad_upper_of_det_at_a_corner(n, value):
     # C(2n, n) - 2, as for det:6 (922), a closure only the benchmark runs

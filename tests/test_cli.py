@@ -10,6 +10,8 @@ from apolar import apolarity, catalog, cli
 from apolar.cli import build_parser, fmt_cell, main
 from fractions import Fraction
 
+DATA = Path(__file__).resolve().parent / "data"
+
 
 def run_cli(capsys, *args):
     code = main(list(args))
@@ -451,6 +453,10 @@ def test_one_variable_degree_20000_is_under_the_length_bound(tmp_path):
             "builtin:det:3: counting its annihilator generators means eliminating "
             "90 unknowns, over the limit of 89",
         ),
+        # a high exponent at the dehomogenized variable: its powers are
+        # built in a loop, not one stack frame each
+        (("bounds", "--form", str(DATA / "power_1000.txt")), {}, False, ""),
+        (("bounds", "--form", str(DATA / "power_1000_y.txt")), {}, False, ""),
     ],
 )
 def test_limits_refuse_one_over_and_run_at(capsys, monkeypatch, argv, limit, refused, message):
@@ -684,6 +690,68 @@ def test_verify_decomposition_nonlinear_summand_exits_2(tmp_path, capsys):
     assert "linear" in err
 
 
+@pytest.mark.parametrize("limit, refused", [(240, False), (239, True)])
+def test_verify_decomposition_refuses_an_expansion_over_the_build_limit(
+    tmp_path, monkeypatch, capsys, limit, refused
+):
+    # four cubes in 3 variables: 4 * C(5, 3) = 40 terms of 3 positions,
+    # each made a 3-exponent tuple: 40 * (3 + 3) = 240
+    path = tmp_path / "intro.dec"
+    path.write_text(INTRO_DEC_3, encoding="utf-8")
+    monkeypatch.setattr(cli, "MAX_BUILD_SIZE", limit)
+    code, out, err = run_cli(
+        capsys, "verify-decomposition", "--form", "builtin:monprod:3", "--file", str(path)
+    )
+    if refused:
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: {path}: expanding its powers means 40 terms times 3 variables "
+            "plus degree 3, 240, over the limit of 239\n"
+        )
+    else:
+        assert (code, out, err) == (0, "pass (4 summands)\n", "")
+
+
+def test_verify_decomposition_of_a_wide_summand_is_refused_before_expanding(
+    tmp_path, capsys
+):
+    # (sum of the 36 variables)^6 has C(41, 6) = 4496388 terms
+    path = tmp_path / "wide.dec"
+    names = [f"x[{i},{j}]" for i in range(1, 7) for j in range(1, 7)]
+    path.write_text("1 ; " + " + ".join(names) + "\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "verify-decomposition", "--form", "builtin:det:6", "--file", str(path)
+    )
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: {path}: expanding its powers means 4496388 terms times 36 variables "
+        f"plus degree 6, 188848296, over the limit of {cli.MAX_BUILD_SIZE}\n"
+    )
+
+
+def test_verify_decomposition_of_a_high_degree_form_is_expanded_term_by_term(
+    tmp_path, capsys
+):
+    # (x + y + z)^200 has C(202, 2) = 20301 terms, none of them equal to
+    # the target's: repeated squaring took minutes here
+    form = tmp_path / "form.txt"
+    form.write_text("x^198*y*z\n", encoding="utf-8")
+    path = tmp_path / "one.dec"
+    path.write_text("1 ; x + y + z\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "verify-decomposition", "--form", str(form), "--file", str(path)
+    )
+    assert time.perf_counter() - start < 5
+    assert (code, err) == (0, "")
+    assert out == (
+        "fail (1 summands): decomposition differs from the target, "
+        "difference has 20301 terms\n"
+    )
+
+
 # ----------------------------------------------------------------------
 # matmul
 
@@ -744,6 +812,30 @@ def test_module_entry_point_runs_in_subprocess():
     )
     assert proc.returncode == 0
     assert "[1, 6, 1]" in proc.stdout
+
+
+def test_hilbert_of_a_high_power_runs_in_little_memory(tmp_path):
+    # the layer rows of x^100000 are kept primitive: with their raw
+    # coefficients d!/t! the same run needs gigabytes.  The child's
+    # address space is capped, so a regression fails fast
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "power.txt"
+    path.write_text("x^100000\n", encoding="utf-8")
+    cap = 256 * 2**20
+    env_src = str(Path(__file__).resolve().parent.parent / "src")
+    import os
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = env_src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "apolar", "hilbert", "--form", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert "apolar length: 100001" in proc.stdout
 
 
 def test_hilbert_of_linear_form_in_many_variables(tmp_path, capsys):

@@ -15,6 +15,7 @@ each piece with every variable.
 """
 
 import json
+import math
 import random
 
 import pytest
@@ -320,3 +321,20 @@ def test_generator_count_of_a_dense_series_eliminates_at_most_its_pinned_steps(m
     gd, steps = count_calls(monkeypatch, linalg, "_eliminate", lambda: _count_generators(W))
     assert gd.counts == {4: 23}
     assert steps <= 412
+
+
+# ----------------------------------------------------------------------
+# the closure keeps its rows primitive
+
+
+@pytest.mark.parametrize("form", ORACLE_FAMILIES + ("x^5000",))
+def test_every_layer_row_is_primitive(form):
+    # d^beta x^d carries d!/(d-|beta|)! unless divided out: the layers of
+    # x^5000 would hold about 5000^2 log 5000 bits
+    if form.startswith("x"):
+        W = LinearSeries.of_form(parse_polynomial(form))
+    else:
+        W = build(parse_family(form))
+    for layer in W._layers:
+        for row in layer:
+            assert math.gcd(*row.values()) == 1

@@ -473,6 +473,35 @@ def test_evaluate_decomposition_two_squares():
     assert out == p("x^2 + y^2", XY)
 
 
+_RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.lists(_RATIONALS, min_size=3, max_size=3), _RATIONALS),
+        min_size=1,
+        max_size=4,
+    ),
+    st.integers(min_value=0, max_value=6),
+)
+def test_evaluate_decomposition_equals_the_sum_of_powers(summands, d):
+    # Polynomial.__pow__ (repeated squaring) is the oracle for the
+    # term-by-term multinomial expansion
+    summands = [(a, c) for a, c in summands if any(a)]
+    if not summands:
+        return
+    forms = [
+        Polynomial.from_products(XYZ, ((ai, (i,)) for i, ai in enumerate(a)))
+        for a, _ in summands
+    ]
+    coeffs = [c for _, c in summands]
+    want = Polynomial.zero(XYZ)
+    for l, c in zip(forms, coeffs):
+        want = want + (l**d).scale(c)
+    assert evaluate_decomposition(forms, coeffs, d) == want
+
+
 def test_evaluate_decomposition_rejects_nonlinear():
     with pytest.raises(ValueError):
         evaluate_decomposition([p("x^2", XY)], [1], 2)
@@ -481,6 +510,34 @@ def test_evaluate_decomposition_rejects_nonlinear():
 def test_evaluate_decomposition_rejects_length_mismatch():
     with pytest.raises(ValueError):
         evaluate_decomposition([p("x", XY)], [1, 2], 2)
+
+
+# ----------------------------------------------------------------------
+# products of variables
+
+
+def test_from_products_repeats_positions_and_adds_equal_monomials():
+    f = Polynomial.from_products(
+        XYZ, [(3, (0, 2, 0)), (2, [1]), (-1, (1,)), (Fraction(1, 2), (2, 0, 0))]
+    )
+    assert f == p("7/2*x^2*z + y", XYZ)
+
+
+def test_from_products_sum_that_cancels_is_zero():
+    f = Polynomial.from_products(XY, [(2, (0, 1)), (-2, (1, 0))])
+    assert f.is_zero and f.terms == {}
+
+
+def test_from_products_empty_product_is_the_constant():
+    assert Polynomial.from_products(XY, [(5, ())]) == Polynomial.constant(XY, 5)
+    assert Polynomial.from_products(XY, []) == Polynomial.zero(XY)
+
+
+def test_from_products_keeps_the_class():
+    d = DualForm.from_products(XY, [(1, (0, 1)), (-3, (1, 1))])
+    assert type(d) is DualForm
+    assert d == parse_dual_form("d_x*d_y - 3*d_y^2", XY)
+    assert type(DualForm.variable(XY, 1)) is DualForm
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ is strong evidence for the parser, the ring arithmetic, the
 differentiation action, and the exact ranks under the catalecticants.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -29,10 +30,13 @@ from apolar import (
 )
 from apolar.catalog import (
     build_determinant,
+    build_matmul_series,
+    build_minors_series,
     build_permanent,
     build_pfaffian,
     build_symmetric_determinant,
     grid_context,
+    matmul_context,
     skew_context,
     symmetric_context,
 )
@@ -235,3 +239,35 @@ def test_pfaffian_square_matches_sympy_determinant():
         )
         pf = build_pfaffian(n)
         assert to_sympy(pf * pf, syms) == sympy.expand(M.det())
+
+
+@pytest.mark.parametrize("m, n, d", [(2, 3, 2), (3, 3, 2), (3, 4, 2), (3, 4, 3), (2, 2, 1)])
+def test_minors_series_matches_sympy_minors(m, n, d):
+    # row sets, then column sets, in lexicographic order
+    ctx = grid_context(m, n)
+    syms = symbols_for(ctx)
+    M = sympy.Matrix(
+        [[syms[ctx.position(f"x[{i},{j}]")] for j in range(1, n + 1)] for i in range(1, m + 1)]
+    )
+    want = [
+        sympy.expand(M.extract(list(rows), list(cols)).det())
+        for rows in itertools.combinations(range(m), d)
+        for cols in itertools.combinations(range(n), d)
+    ]
+    assert [to_sympy(f, syms) for f in build_minors_series(m, n, d)] == want
+
+
+@pytest.mark.parametrize("p, q, r", [(2, 2, 2), (2, 3, 2), (1, 3, 2), (3, 1, 2)])
+def test_matmul_series_matches_the_entries_of_a_sympy_product(p, q, r):
+    # the entries (i, k) of X * Y, row by row
+    ctx = matmul_context(p, q, r)
+    syms = symbols_for(ctx)
+    X = sympy.Matrix(
+        [[syms[ctx.position(f"x[{i},{j}]")] for j in range(1, q + 1)] for i in range(1, p + 1)]
+    )
+    Y = sympy.Matrix(
+        [[syms[ctx.position(f"y[{j},{k}]")] for k in range(1, r + 1)] for j in range(1, q + 1)]
+    )
+    XY = X * Y
+    want = [sympy.expand(XY[i, k]) for i in range(p) for k in range(r)]
+    assert [to_sympy(f, syms) for f in build_matmul_series(p, q, r)] == want
