@@ -50,10 +50,20 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import compress
+from itertools import combinations, compress
 from operator import or_
 
-from .linalg import QMatrix, Rational, SpanBuilder, clear_denominators
+from .linalg import (
+    PRIME,
+    SLOT_BITS,
+    ModularRank,
+    QMatrix,
+    Rational,
+    SpanBuilder,
+    clear_denominators,
+    pack,
+    packs_densely,
+)
 # no longer called here, but still importable under these names: the
 # bench tracer (bench/tracing.py) wraps them in this module
 from .linalg import kernel_basis, rank  # noqa: F401
@@ -141,6 +151,35 @@ class _Keys:
         return out
 
 
+class _Gradients:
+    """The first partials of the rows of one derivative layer, for the
+    generator count and the derivative trials: ``rows[r]`` lists
+    ``(i, d_i row)`` for the variables i that row r contains (the other
+    partials are zero), and :attr:`packed` the same partials packed for
+    :class:`linalg.ModularRank`, one slot per monomial that occurs in
+    them."""
+
+    def __init__(self, layer: list[dict], keys: _Keys) -> None:
+        self.rows = [[(i, keys.partial(row, i)) for i in keys.variables(row)] for row in layer]
+
+    @cached_property
+    def slots(self) -> dict[int, int]:
+        """The slot of each monomial of the partials, in key order."""
+        found = {m for grad in self.rows for _, dk in grad for m in dk}
+        return {m: j for j, m in enumerate(sorted(found))}
+
+    @cached_property
+    def packed(self) -> list[list[tuple[int, int]]]:
+        """Made only where the partials are dense (a dense count needs
+        dense partials too), so it holds at most eight 96-bit slots per
+        nonzero entry."""
+        slots = self.slots
+        return [
+            [(i, pack(((slots[m], c) for m, c in dk.items()), len(slots))) for i, dk in grad]
+            for grad in self.rows
+        ]
+
+
 @dataclass(frozen=True)
 class LinearSeries:
     """Finite-dimensional space of forms of one degree (a single form is
@@ -218,6 +257,18 @@ class LinearSeries:
         tops = [keys.pack_row(f.terms) for f in self.reduced_basis]
         caps = tuple(math.comb(n + d - k - 1, d - k) for k in range(d + 1))
         return tuple(reversed(_closure(tops, keys, caps)))
+
+    @cached_property
+    def _gradient_cache(self) -> dict[int, _Gradients]:
+        return {}
+
+    def _gradients(self, t: int) -> _Gradients:
+        """The :class:`_Gradients` of layer t, made once per series: the
+        generator count and every derivative trial share them."""
+        grads = self._gradient_cache.get(t)
+        if grads is None:
+            grads = self._gradient_cache[t] = _Gradients(self._layers[t], self._keys)
+        return grads
 
     @cached_property
     def _generator_degrees(self) -> GeneratorDegrees:
@@ -377,15 +428,18 @@ def derivative_kernel_dims(W: LinearSeries, partial: DualForm) -> list[int]:
 
     the sum of this list, with no derivative series built.
     Scaling D leaves its kernels alone, so its denominators are cleared
-    once and every image is an integer row.  A_0 (the constants) is
-    killed whole.  For t >= 1 the rank of D on A_t needs no elimination
-    when A_t is all of R_t (h(t) = C(n+t-1, t)): D maps R_t onto R_{t-1},
-    so the rank is C(n+t-2, t-1).  Otherwise the images of the basis
-    rows of A_t go into one span, and adding stops once its dimension
-    reaches h(t-1), since ``D(A_t)`` lies in A_{t-1}.  The layer rows
-    stay packed: each image is a sum of ``W._keys.partial`` rows, keyed
-    like the layer below, taken only by the variables of D that occur in
-    the row (the other partials are empty).
+    once and every image is an integer row, ``sum_i D_i * d_i row`` over
+    the cached partials of the layer rows (``W._gradients``).  A_0 (the
+    constants) is killed whole.  For t >= 1 the rank of D on A_t needs
+    no elimination when A_t is all of R_t (h(t) = C(n+t-1, t)): D maps
+    R_t onto R_{t-1}, so the rank is C(n+t-2, t-1).  Otherwise the rank
+    is at most ``r_t = min(h(t), h(t-1))``, since ``D(A_t)`` lies in
+    A_{t-1}.  When the partials the images combine are dense
+    (:func:`linalg.packs_densely`), the rank of the images mod PRIME is
+    tried first, and if it reaches r_t that is the rank: a modular rank
+    never exceeds the rational one.  Otherwise the images go into one
+    exact span, and adding stops once its dimension reaches h(t-1).  On the bench's ``random_series`` workload
+    at seed 1 the modular rank reaches r_t in all 210 of its kernels.
     """
     if not isinstance(partial, DualForm) or partial.context != W.context:
         raise ContextMismatchError("expected a DualForm over the series context")
@@ -393,27 +447,48 @@ def derivative_kernel_dims(W: LinearSeries, partial: DualForm) -> list[int]:
         raise ValueError("derivative direction must be a nonzero linear dual form")
     n = len(W.context)
     dims = hilbert_function(W)
-    keys = W._keys
     coeffs = {m.index(1): c for m, c in clear_denominators(partial.terms).items()}
+    residues = {i: c % PRIME for i, c in coeffs.items()}
     out = [dims[0]]
     for t in range(1, len(dims)):
         h = dims[t]
         if h == math.comb(n + t - 1, t):
             out.append(h - math.comb(n + t - 2, t - 1))
             continue
+        grads = W._gradients(t)
+        r = min(h, dims[t - 1])
+        if _kernel_reaches(grads, residues, r):
+            out.append(h - r)
+            continue
         images = SpanBuilder()
-        for row in W._layers[t]:
+        for grad in grads.rows:
             image: dict = {}
-            for i in keys.variables(row):
+            for i, dk in grad:
                 c = coeffs.get(i)
                 if c:
-                    for k, v in keys.partial(row, i).items():
+                    for k, v in dk.items():
                         image[k] = image.get(k, 0) + c * v
             images.add(image)
             if images.dim == dims[t - 1]:
                 break
         out.append(h - images.dim)
     return out
+
+
+def _kernel_reaches(grads: _Gradients, residues: dict[int, int], bound: int) -> bool:
+    """Whether the images ``sum_i D_i * d_i row`` of the layer rows with
+    partials ``grads`` are dense and reach rank ``bound`` mod PRIME,
+    where ``residues`` maps each variable of D to its coefficient mod
+    PRIME.  Adding stops at the bound."""
+    sizes = [len(dk) for grad in grads.rows for i, dk in grad if i in residues]
+    if not packs_densely(sum(sizes), len(sizes), len(grads.slots)):
+        return False
+    modular = ModularRank(len(grads.slots))
+    for grad in grads.packed:
+        image = sum(residues[i] * pk for i, pk in grad if i in residues)
+        if modular.add(image) and modular.dim == bound:
+            return True
+    return False
 
 
 def _weight(m: Monomial) -> int:
@@ -511,41 +586,60 @@ def _count_generators(W: LinearSeries) -> GeneratorDegrees:
     first (a monomial-major key gives the same rank after more
     eliminations).
 
-    The gradients of the rows of A_{t-1} are taken once per degree, and
-    the images go in variable-major: the unknown u_0 of every row, then
-    u_1 of every row, and so on, where adding the n images of one row
-    together meets the pivots of every pair at once.  The rank and the
-    count do not depend on the order, but the work does: on the 36
-    dense random series of the bench's ``random_series`` workload at
-    seed 3, this order cuts the entries ``linalg._eliminate`` touches by
-    a third (307540 to 206847) and the largest intermediate entry from
-    2348 to 1539 bits.  Holding one layer's gradients at once costs a
-    little memory."""
+    Since P_t contains A_t, the rank of the images is at most
+    ``n * h(t-1) - h(t)``, and it reaches that bound exactly in the
+    degrees with no new generator.  When the images are dense
+    (:func:`linalg.packs_densely`), their rank mod PRIME is taken first,
+    over every image (a modular rank above the bound means a wrong
+    layer, and the exact route below then reports it).  If it equals the
+    bound, that is the rank, since a modular rank never exceeds the
+    rational one; on the bench's ``random_series`` workload at seed 1 it
+    does in 62 of the 70 degrees eliminated.  Otherwise, and for sparse
+    images, the exact span decides.
+
+    The gradients of the rows of A_{t-1} are the cached ones of
+    ``W._gradients``, and the images go in variable-major: the unknown
+    u_0 of every row, then u_1 of every row, and so on, where adding the
+    n images of one row together meets the pivots of every pair at once.
+    The rank and the count do not depend on the order, but the work
+    does: on the 36 dense random series of the bench's ``random_series``
+    workload at seed 3, in the 9 degrees the modular rank leaves to this
+    route, this order cuts the entries ``linalg._eliminate`` touches from
+    17637 to 10892 and the largest intermediate entry from 258 to 142
+    bits (with every degree eliminated here: 307540 to 206847 entries,
+    2348 to 1539 bits)."""
     n = len(W.context)
     layers = W._layers
-    keys = W._keys
-    size = n * keys.width
+    size = n * W._keys.width
+    # the partials of every layer read here are made before any
+    # elimination: made between the spans of two degrees, they would pin
+    # memory those spans free (11 MB more peak RSS on pf:5)
+    partials = [
+        None if len(layer) == math.comb(n + s - 1, s) else W._gradients(s)
+        for s, layer in enumerate(layers)
+    ]
     counts: dict[int, int] = {}
     for t in range(1, W.degree + 2):
         below = layers[t - 1]
         h = len(layers[t]) if t <= W.degree else 0
-        if len(below) == math.comb(n + t - 2, t - 1):
+        grads = partials[t - 1]
+        if grads is None:
             p_dim = math.comb(n + t - 1, t)
         else:
-            images = SpanBuilder()
-            grads = [
-                [(k, keys.partial(row, k)) for k in keys.variables(row)] for row in below
-            ]
-            for i in range(n):
-                for grad in grads:
-                    images.add({
-                        ((i * n + k if i < k else k * n + i) << size) | m:
-                            c if i < k else -c
-                        for k, dk in grad
-                        if k != i
-                        for m, c in dk.items()
-                    })
-            p_dim = n * len(below) - images.dim
+            rank = n * len(below) - h
+            if not _prolongation_reaches(grads, n, rank):
+                images = SpanBuilder()
+                for i in range(n):
+                    for grad in grads.rows:
+                        images.add({
+                            ((i * n + k if i < k else k * n + i) << size) | m:
+                                c if i < k else -c
+                            for k, dk in grad
+                            if k != i
+                            for m, c in dk.items()
+                        })
+                rank = images.dim
+            p_dim = n * len(below) - rank
         if p_dim < h:
             raise InvariantError(
                 f"the degree-{t} prolongation of layer {t - 1} has dimension "
@@ -554,6 +648,34 @@ def _count_generators(W: LinearSeries) -> GeneratorDegrees:
         if p_dim > h:
             counts[t] = p_dim - h
     return GeneratorDegrees(counts, max(counts))
+
+
+def _prolongation_reaches(grads: _Gradients, n: int, bound: int) -> bool:
+    """Whether the prolongation images of the layer with partials
+    ``grads`` are dense and have rank exactly ``bound`` mod PRIME.  The
+    image of u_i puts ``d_k row`` in the block of slots of the pair
+    (i, k) for each k > i, and ``-d_k row`` in that of (k, i) for k < i;
+    blocks are pair-major in the order of the exact keys."""
+    pairs = n * (n - 1) // 2
+    block = len(grads.slots)
+    # each partial lands in the images of the n - 1 other unknowns
+    nonzeros = (n - 1) * sum(len(dk) for grad in grads.rows for _, dk in grad)
+    if not packs_densely(nonzeros, n * len(grads.rows), pairs * block):
+        return False
+    offset = {}  # the bit offset of the block of the pair {i, k}
+    for j, (i, k) in enumerate(combinations(range(n), 2)):
+        offset[i, k] = offset[k, i] = SLOT_BITS * block * j
+    modular = ModularRank(pairs * block)
+    for i in range(n):
+        for grad in grads.packed:
+            above = below = 0
+            for k, pk in grad:
+                if k > i:
+                    above += pk << offset[i, k]
+                elif k < i:
+                    below += pk << offset[i, k]
+            modular.add(above + (PRIME - 1) * below)
+    return modular.dim == bound
 
 
 def minimal_generators(

@@ -104,11 +104,26 @@ def _read_lines(path: str) -> list[tuple[int, str]]:
     return [(i, ln) for i, ln in numbered if ln and not ln.startswith("#")]
 
 
-def load_series(src: str) -> tuple[LinearSeries, str, FamilySpec | None]:
+def load_series(
+    src: str, count: bool = False
+) -> tuple[LinearSeries, str, FamilySpec | None]:
+    """The series a ``--form`` argument names, the argument itself as its
+    id, and its family (None for a form file).  Over-limit input exits 2
+    before it is built.  With ``count``, so does a series whose generator
+    count would eliminate more than MAX_PROLONGATION_SIZE unknowns
+    (:func:`_check_prolongation_size`): a builtin with a closed-form
+    Hilbert function before anything is built, any other once its layers
+    are."""
     if src.startswith("builtin:"):
         spec = parse_family(src[len("builtin:") :])
         catalog.check_size(spec, MAX_BUILD_SIZE, MAX_LENGTH_BOUND)
-        return catalog.build(spec), src, spec
+        early = count and catalog.closed_form_count_shape(spec) is not None
+        if early:
+            _check_prolongation_size(None, src, spec)
+        W = catalog.build(spec)
+        if count and not early:
+            _check_prolongation_size(W, src, spec)
+        return W, src, spec
     lines = [ln for _, ln in _read_lines(src)]
     if not lines:
         raise CliError(f"error: form file {src!r} contains no polynomials", 1)
@@ -134,6 +149,8 @@ def load_series(src: str) -> tuple[LinearSeries, str, FamilySpec | None]:
             f"{bound}, over the limit of {MAX_LENGTH_BOUND}",
             2,
         )
+    if count:
+        _check_prolongation_size(W, src, None)
     return W, src, None
 
 
@@ -289,22 +306,22 @@ def _at_most(flag: str, value: int, limit: int) -> None:
         raise CliError(f"error: {flag} must be at most {limit}", 2)
 
 
-def _prolongation_size(W: LinearSeries, spec: FamilySpec | None) -> int:
+def _prolongation_size(W: LinearSeries | None, spec: FamilySpec | None) -> int:
     """Unknowns the generator count eliminates: ``n * h(t-1)`` for each
     degree t whose layer t-1 is not all of R_{t-1} (see
     ``apolarity.minimal_generator_degrees``).  For a builtin with a
-    closed-form Hilbert function h comes from the formula, so no layer
-    is built; n is always the context's, which can exceed h(1)
-    (``matmul``)."""
-    n = len(W.context)
-    try:
-        dims = catalog.closed_form_hilbert(spec) if spec else hilbert_function(W)
-    except catalog.NoClosedFormError:
-        dims = hilbert_function(W)
+    closed-form Hilbert function, n (its record's variable count) and h
+    (the formula) come from the family record, so W is not read and may
+    be None; otherwise they are W's context and layers.  n is the
+    context's, which can exceed h(1) (``matmul``)."""
+    shape = catalog.closed_form_count_shape(spec) if spec else None
+    n, dims = shape or (len(W.context), hilbert_function(W))
     return sum(n * h for s, h in enumerate(dims) if h != math.comb(n + s - 1, s))
 
 
-def _check_prolongation_size(W: LinearSeries, form_id: str, spec: FamilySpec | None) -> None:
+def _check_prolongation_size(
+    W: LinearSeries | None, form_id: str, spec: FamilySpec | None
+) -> None:
     """Exit 2 before the generator count if it would eliminate more than
     MAX_PROLONGATION_SIZE unknowns (:func:`_prolongation_size`)."""
     size = _prolongation_size(W, spec)
@@ -317,7 +334,7 @@ def _check_prolongation_size(W: LinearSeries, form_id: str, spec: FamilySpec | N
 
 
 def cmd_bounds(args) -> str:
-    W, form_id, spec = load_series(args.form)
+    W, form_id, spec = load_series(args.form, count=True)
     if args.trials < 1:
         raise CliError("error: --trials must be at least 1", 2)
     _at_most("--trials", args.trials, MAX_TRIALS)
@@ -332,7 +349,6 @@ def cmd_bounds(args) -> str:
     assertion = InvarianceAssertion(
         args.assert_invariance, args.invariance_note or ""
     )
-    _check_prolongation_size(W, form_id, spec)
     det_n = spec.params[0] if spec and spec.family == "det" else None
     report = bound_report(
         W,
@@ -370,11 +386,10 @@ def cmd_hilbert(args) -> str:
 
 
 def cmd_apolar_gens(args) -> str:
-    W, form_id, spec = load_series(args.form)
+    W, form_id, _ = load_series(args.form, count=True)
     max_degree = args.max_degree if args.max_degree is not None else W.degree + 1
     if max_degree < 1:
         raise CliError("error: --max-degree must be at least 1", 2)
-    _check_prolongation_size(W, form_id, spec)
     gens = minimal_generators(W, max_degree)
     delta = minimal_generator_degrees(W).delta
     return render_generators(form_id, gens, delta, args.format)

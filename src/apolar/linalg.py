@@ -4,9 +4,14 @@ Every Hilbert-function value computed in this package is the dimension
 of a derivative layer (a span of integer rows), every graded ideal piece
 is the orthogonal complement of one (:meth:`SpanBuilder.kernel`, read
 off the reduced echelon form), and every derivative closure or
-generator count is the dimension of a growing span.  All of them run
-through one eliminator, :class:`SpanBuilder`, so nothing is rounded and
-elimination happens in one place.
+generator count is the dimension of a growing span.  There is one
+exact engine, :class:`SpanBuilder`, so nothing is rounded, plus a
+certificate that can only confirm a known bound: :class:`ModularRank`
+eliminates the same vectors reduced modulo ``PRIME``.  Reducing an
+integer matrix mod p cannot raise its rank (a minor that is nonzero mod
+p is a nonzero integer), so a modular rank that reaches an upper bound
+known from elsewhere proves the rank over Q; one that falls short
+proves nothing, and the caller then runs the exact engine.
 
 The dense side is only an adapter for callers of the public
 ``catalecticant_matrix``: :class:`QMatrix` holds such a matrix, and
@@ -214,6 +219,93 @@ class SpanBuilder:
                 entries[k].append((p, -c))
         for k, pairs in entries.items():
             yield {**dict(pairs), k: Fraction(1)}
+
+
+PRIME = 2**31 - 1
+SLOT_BITS = 96  # bits per column of a packed vector
+# packing pays once the vectors fill, on average, one slot in _DENSITY
+_DENSITY = 8
+_LOW31 = b"\xff\xff\xff\x7f" + bytes(SLOT_BITS // 8 - 4)
+_LOW3 = b"\x07" + bytes(SLOT_BITS // 8 - 1)
+
+
+def packs_densely(nonzeros: int, vectors: int, slots: int) -> bool:
+    """Whether ``vectors`` vectors with ``nonzeros`` nonzero entries in
+    all, over ``slots`` columns, fill on average at least one slot in
+    eight: dense enough that :class:`ModularRank`'s whole-width int
+    arithmetic beats the per-entry dicts of :class:`SpanBuilder`."""
+    return _DENSITY * nonzeros >= vectors * slots
+
+
+def pack(entries: Iterable[tuple[int, int]], slots: int) -> int:
+    """One int holding integer ``c`` reduced mod PRIME in slot ``j`` (bits
+    ``SLOT_BITS * j`` and up) for each pair ``(j, c)``, over ``slots``
+    slots.  One bytearray is filled and converted once, so the cost is
+    linear in the slot count (summing shifted ints would be quadratic)."""
+    width = SLOT_BITS // 8
+    buf = bytearray(width * slots)
+    for j, c in entries:
+        buf[width * j : width * j + 4] = (c % PRIME).to_bytes(4, "little")
+    return int.from_bytes(buf, "little")
+
+
+class ModularRank:
+    """Incremental rank modulo PRIME of vectors packed by :func:`pack`.
+
+    Each stored row is monic: its top nonzero slot (the pivot) is an
+    implied 1 and only its tail, the slots below, is kept.  A vector
+    whose top slot ``j`` holds ``a`` (read mod PRIME) is eliminated
+    against the row at ``j`` by ``x += (PRIME - a) * tail`` and clearing
+    slot ``j``, so the top slot only falls and no step loops over slots
+    in Python.  A vector whose top slot is free becomes a new row: it is
+    multiplied by ``pow(a, -1, PRIME)``.
+
+    Slots are never reduced between steps, only folded: since
+    ``2**31 = 1 (mod PRIME)``, adding the 31-bit pieces of every slot at
+    once (``(x & M) + ((x >> 31) & M) + ...`` over per-slot masks M)
+    keeps each residue and maps a slot below 2^96 to one below 2^33.
+    The invariants: a vector is folded on entry, and a new row is folded
+    before and after its normalization, so stored tail slots stay below
+    2^33; each step then adds below ``2^31 * 2^33 = 2^64`` to a slot, so
+    a 96-bit slot holds 2^32 steps without carrying into the next.  A
+    vector takes at most one step per slot below its top, hence the
+    limit of 2^32 slots.
+    """
+
+    def __init__(self, slots: int) -> None:
+        if slots >= 1 << 32:
+            raise ValueError(f"{slots} slots: a packed vector holds fewer than 2^32")
+        self._rows: dict[int, int] = {}
+        self._low31 = int.from_bytes(_LOW31 * slots, "little")
+        self._low3 = int.from_bytes(_LOW3 * slots, "little")
+
+    @property
+    def dim(self) -> int:
+        return len(self._rows)
+
+    def _fold(self, x: int) -> int:
+        m = self._low31
+        return (x & m) + ((x >> 31) & m) + ((x >> 62) & m) + ((x >> 93) & self._low3)
+
+    def add(self, x: int) -> bool:
+        """Insert a packed vector, every slot below 2^96; returns True iff
+        it enlarged the span mod PRIME."""
+        x = self._fold(x)
+        rows = self._rows
+        while x:
+            j = (x.bit_length() - 1) // SLOT_BITS
+            shift = SLOT_BITS * j
+            top = x >> shift
+            x -= top << shift
+            a = top % PRIME
+            if not a:
+                continue
+            tail = rows.get(j)
+            if tail is None:
+                rows[j] = self._fold(self._fold(x) * pow(a, -1, PRIME))
+                return True
+            x += (PRIME - a) * tail
+        return False
 
 
 def _span(m: QMatrix) -> SpanBuilder:

@@ -382,6 +382,22 @@ def test_builtin_over_the_count_limit_is_refused_before_any_layer(capsys, monkey
     )
 
 
+@pytest.mark.parametrize("argv", [("bounds", "--trials", "1"), ("apolar-gens",)])
+def test_builtin_over_the_count_limit_is_refused_before_it_is_built(capsys, monkeypatch, argv):
+    # the family record gives n = 64 and the closed form h, so the 40320
+    # terms of det:8 are never written
+    def refuse(spec):
+        raise AssertionError(f"built {spec.id}")
+
+    monkeypatch.setattr(catalog, "build", refuse)
+    code, out, err = run_cli(capsys, *argv, "--form", "builtin:det:8")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: builtin:det:8: counting its annihilator generators means eliminating "
+        f"819520 unknowns, over the limit of {cli.MAX_PROLONGATION_SIZE}\n"
+    )
+
+
 @pytest.mark.parametrize("size", [2, 3])
 @pytest.mark.parametrize(
     "family", [f for f, record in catalog._FAMILIES.items() if record.hilbert]

@@ -31,6 +31,7 @@ from apolar import (
     parse_dual_form,
 )
 from apolar.catalog import build, parse_family
+from apolar.linalg import ModularRank
 from oracles import naive_derivative_bound, naive_monomials
 
 
@@ -99,7 +100,8 @@ def test_derivative_bound_matches_oracle_on_random_series(case):
 
 def test_dense_series_uses_both_shortcuts_and_matches_oracle(monkeypatch):
     # every monomial of degree 4 in 4 variables: A_1 and A_2 are full,
-    # and at t = 3 the images reach h(2) = 10 after 10 of the 12 rows
+    # at t = 3 the images reach h(2) = 10 after 10 of the 12 rows, and at
+    # t = 4 the 3 images reach h(4) = 3
     ctx = VarContext(tuple(f"x{i}" for i in range(4)))
     monos = naive_monomials(4, 4)
     W = LinearSeries.of_forms(
@@ -117,7 +119,24 @@ def test_dense_series_uses_both_shortcuts_and_matches_oracle(monkeypatch):
         adds.append(vec)
         return original(self, vec)
 
+    # the certificate route: each modular rank stores every row it is
+    # given and stops at r_t, and nothing is eliminated exactly
+    stored = {}
+    modular_add = ModularRank.add
+
+    def recorded(self, x):
+        enlarged = modular_add(self, x)
+        stored.setdefault(self, []).append(enlarged)
+        return enlarged
+
     monkeypatch.setattr(SpanBuilder, "add", counted)
+    monkeypatch.setattr(ModularRank, "add", recorded)
+    assert derivative_kernel_dims(W, partial) == [1, 3, 6, 2, 0]
+    assert list(stored.values()) == [[True] * 10, [True] * 3]
+    assert adds == []
+
+    # the exact fallback, with a certificate that never reaches its bound
+    monkeypatch.setattr(ModularRank, "add", lambda self, x: False)
     assert derivative_kernel_dims(W, partial) == [1, 3, 6, 2, 0]
     assert len(adds) == 10 + 3
     monkeypatch.undo()

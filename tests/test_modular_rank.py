@@ -1,0 +1,296 @@
+"""The modular rank certificate against exact elimination.
+
+``linalg.ModularRank`` eliminates packed vectors modulo ``PRIME``.  The
+generator count and the derivative kernels use it only to confirm a
+rank bound they know from elsewhere, and fall back to ``SpanBuilder``
+when it falls short, so with the certificate forced on every span and
+with it switched off every answer must be the same.  The brute-force
+rank here reduces dense lists mod PRIME by Gauss-Jordan and shares no
+code with the packed route.
+"""
+
+import random
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from apolar import (
+    DualForm,
+    LinearSeries,
+    Polynomial,
+    SpanBuilder,
+    VarContext,
+    apolarity,
+    cli,
+    derivative_kernel_dims,
+    format_polynomial,
+    hilbert_function,
+    minimal_generator_degrees,
+)
+from apolar.linalg import PRIME, SLOT_BITS, ModularRank, clear_denominators, pack
+from oracles import naive_monomials
+
+SLOT_MASK = (1 << SLOT_BITS) - 1
+
+
+def slot_values(x: int, slots: int) -> list[int]:
+    return [(x >> (SLOT_BITS * j)) & SLOT_MASK for j in range(slots)]
+
+
+def brute_rank_mod_prime(rows: list[list[int]]) -> int:
+    rows = [[c % PRIME for c in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, PRIME)
+        rows[rank] = [c * inv % PRIME for c in rows[rank]]
+        for i, row in enumerate(rows):
+            if i != rank and row[col]:
+                f = row[col]
+                rows[i] = [(a - f * b) % PRIME for a, b in zip(row, rows[rank])]
+        rank += 1
+    return rank
+
+
+def modular_rank(rows: list[list[int]]) -> ModularRank:
+    slots = len(rows[0])
+    modular = ModularRank(slots)
+    for row in rows:
+        modular.add(pack(enumerate(row), slots))
+    return modular
+
+
+# ----------------------------------------------------------------------
+# packing, folding and elimination
+
+
+def test_pack_round_trips_at_the_largest_residues():
+    # residues up to PRIME - 1 = 2^31 - 2 fill the low 31 bits of a slot
+    values = [PRIME - 1, -1, PRIME, 2 * PRIME + 5, 0, 1, -(10**30), 10**30, PRIME + PRIME - 1]
+    slots = 3 * len(values)
+    x = pack(((3 * j, c) for j, c in enumerate(values)), slots)
+    expected = [0] * slots
+    for j, c in enumerate(values):
+        expected[3 * j] = c % PRIME
+    assert slot_values(x, slots) == expected
+    assert x.bit_length() <= SLOT_BITS * slots
+
+
+def test_fold_keeps_every_residue_of_the_widest_slots():
+    # 2^96 - 1 is the largest slot value the fold takes; it comes out
+    # below 2^33 with the same residue
+    rng = random.Random(5)
+    values = [SLOT_MASK, SLOT_MASK - 1, 2**93, 2**64, PRIME, 0]
+    values += [rng.randrange(SLOT_MASK) for _ in range(20)]
+    x = sum(v << (SLOT_BITS * j) for j, v in enumerate(values))
+    folded = ModularRank(len(values))._fold(x)
+    out = slot_values(folded, len(values))
+    assert folded >> (SLOT_BITS * len(values)) == 0
+    assert all(o < 2**33 for o in out)
+    assert [o % PRIME for o in out] == [v % PRIME for v in values]
+
+
+def test_rank_of_vectors_with_the_widest_slots():
+    # vectors entered at the top of the fold's range, against dense rows
+    rng = random.Random(6)
+    for size in (1, 2, 5, 9):
+        rows = [[rng.choice([SLOT_MASK, SLOT_MASK - PRIME, 0]) for _ in range(size)]
+                for _ in range(size + 2)]
+        modular = ModularRank(size)
+        for row in rows:
+            modular.add(sum(v << (SLOT_BITS * j) for j, v in enumerate(row)))
+        assert modular.dim == brute_rank_mod_prime(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda cols: st.lists(
+            st.lists(
+                st.one_of(
+                    st.integers(-3, 3),
+                    st.sampled_from([PRIME, -PRIME, 2 * PRIME, PRIME - 1, PRIME + 1]),
+                    st.integers(-(10**40), 10**40),
+                ),
+                min_size=cols,
+                max_size=cols,
+            ),
+            min_size=1,
+            max_size=10,
+        )
+    )
+)
+def test_modular_rank_equals_the_brute_force_rank_mod_prime(rows):
+    modular = modular_rank(rows)
+    assert modular.dim == brute_rank_mod_prime(rows)
+    span = SpanBuilder()
+    for row in rows:
+        span.add(dict(enumerate(row)))
+    assert modular.dim <= span.dim
+
+
+def test_singular_mod_prime_stops_short_of_the_rational_rank():
+    rows = [[1, 0], [0, PRIME]]
+    assert modular_rank(rows).dim == 1
+    span = SpanBuilder()
+    for row in rows:
+        span.add(dict(enumerate(row)))
+    assert span.dim == 2
+
+
+def test_a_direction_singular_mod_prime_falls_back_to_the_exact_kernel():
+    # D = d_x + PRIME * d_y maps A_2 = <x^2, y^2> to <2x, 2 PRIME y>: rank 1
+    # mod PRIME, rank 2 over Q
+    ctx = VarContext(("x", "y"))
+    W = LinearSeries.of_form(Polynomial(ctx, {(3, 0): 1, (0, 3): 1}))
+    D = DualForm(ctx, {(1, 0): 1, (0, 1): PRIME})
+    modular_dims = []
+    modular_add = ModularRank.add
+
+    def recorded(self, x):
+        enlarged = modular_add(self, x)
+        modular_dims.append(self.dim)
+        return enlarged
+
+    with mock.patch.object(ModularRank, "add", recorded):
+        with mock.patch.object(apolarity, "packs_densely", lambda *a: True):
+            assert derivative_kernel_dims(W, D) == [1, 1, 0, 0]
+    # t = 2 stopped at 1 of r = 2; t = 3 reached r = 1
+    assert modular_dims == [1, 1, 1]
+
+
+# ----------------------------------------------------------------------
+# the certificate route against the exact route
+
+
+COEFFS = st.one_of(
+    st.integers(-4, 4).filter(bool),
+    st.sampled_from([PRIME, -PRIME, 2 * PRIME, PRIME + 1]),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool),
+)
+
+
+@st.composite
+def series_and_direction(draw):
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 5))
+    monos = naive_monomials(n, d)
+    form = st.dictionaries(st.sampled_from(monos), COEFFS, min_size=1, max_size=20)
+    forms = draw(st.lists(form, min_size=1, max_size=3))
+    direction = draw(
+        st.lists(st.one_of(st.just(0), COEFFS), min_size=n, max_size=n).filter(any)
+    )
+    return n, forms, direction
+
+
+def routes(n, forms, direction, dense):
+    """Generator counts and kernel dims of a fresh series, with every span
+    taken as dense (certificate first) or as sparse (exact only)."""
+    ctx = VarContext(tuple(f"x{i}" for i in range(n)))
+    W = LinearSeries.of_forms([Polynomial(ctx, f) for f in forms])
+    D = DualForm(
+        ctx,
+        {tuple(int(j == i) for j in range(n)): c for i, c in enumerate(direction) if c},
+    )
+    with mock.patch.object(apolarity, "packs_densely", lambda *a: dense):
+        gd = minimal_generator_degrees(W)
+        kernels = derivative_kernel_dims(W, D)
+    return W, D, gd, kernels
+
+
+@settings(max_examples=150, deadline=None)
+@given(series_and_direction())
+def test_certificate_route_equals_the_exact_route(case):
+    n, forms, direction = case
+    W, D, gd, kernels = routes(n, forms, direction, True)
+    assert W.dim <= 3
+    _, _, exact_gd, exact_kernels = routes(n, forms, direction, False)
+    assert (gd.counts, gd.delta) == (exact_gd.counts, exact_gd.delta)
+    assert kernels == exact_kernels
+
+    # asked for one more than the exact rank, the certificate never holds
+    dims = hilbert_function(W)
+    residues = {m.index(1): c % PRIME for m, c in clear_denominators(D.terms).items()}
+    with mock.patch.object(apolarity, "packs_densely", lambda *a: True):
+        for t in range(1, W.degree + 2):
+            h = dims[t] if t <= W.degree else 0
+            below = W._gradients(t - 1)
+            if dims[t - 1] != len(naive_monomials(n, t - 1)):
+                rank = n * dims[t - 1] - h - gd.counts.get(t, 0)
+                assert not apolarity._prolongation_reaches(below, n, rank + 1)
+            if t <= W.degree:
+                rank = h - kernels[t]
+                assert not apolarity._kernel_reaches(W._gradients(t), residues, rank + 1)
+
+
+# ----------------------------------------------------------------------
+# the fast path stays on for dense input
+
+
+def dense_series_file(tmp_path, seed):
+    """Three dense random quintics in 4 variables, as in the largest cell
+    of the bench's random series: each monomial present with probability
+    0.6, with a nonzero coefficient in [-9, 9]."""
+    rng = random.Random(seed)
+    ctx = VarContext(tuple(f"x[{i}]" for i in range(1, 5)))
+    forms = []
+    for _ in range(3):
+        terms = {m: rng.choice([c for c in range(-9, 10) if c])
+                 for m in naive_monomials(4, 5) if rng.random() < 0.6}
+        forms.append(format_polynomial(Polynomial(ctx, terms)))
+    path = tmp_path / "dense.txt"
+    path.write_text("\n".join(forms) + "\n", encoding="utf-8")
+    return path
+
+
+def test_dense_series_eliminates_exactly_only_where_generators_are_new(tmp_path, capsys):
+    path = dense_series_file(tmp_path, 11)
+    inside = []  # the function being run: "kernel" or the count's series
+    kernel_adds = []
+    count_degrees = set()
+    counts = {}
+    original_add = SpanBuilder.add
+    original_kernels = apolarity.derivative_kernel_dims
+    original_count = apolarity._count_generators
+
+    def add(self, vec):
+        if inside and inside[-1] == "kernel":
+            kernel_adds.append(vec)
+        elif inside:
+            W = inside[-1]
+            keys = W._keys
+            key = next(iter(vec))
+            m = key & ((1 << len(W.context) * keys.width) - 1)
+            count_degrees.add(sum(keys.unpack(m)) + 2)
+        return original_add(self, vec)
+
+    def kernels(W, partial):
+        W._layers
+        inside.append("kernel")
+        try:
+            return original_kernels(W, partial)
+        finally:
+            inside.pop()
+
+    def count(W):
+        W._layers
+        inside.append(W)
+        try:
+            gd = original_count(W)
+        finally:
+            inside.pop()
+        counts.update(gd.counts)
+        return gd
+
+    with mock.patch.object(SpanBuilder, "add", add), \
+            mock.patch("apolar.bounds.derivative_kernel_dims", kernels), \
+            mock.patch.object(apolarity, "_count_generators", count):
+        code = cli.main(["bounds", "--form", str(path), "--trials", "3", "--seed", "1"])
+    assert code == 0, capsys.readouterr().err
+    assert counts
+    assert kernel_adds == []
+    assert count_degrees <= set(counts)
