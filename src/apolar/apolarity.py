@@ -438,8 +438,9 @@ def derivative_kernel_dims(W: LinearSeries, partial: DualForm) -> list[int]:
     (:func:`linalg.packs_densely`), the rank of the images mod PRIME is
     tried first, and if it reaches r_t that is the rank: a modular rank
     never exceeds the rational one.  Otherwise the images go into one
-    exact span, and adding stops once its dimension reaches h(t-1).  On the bench's ``random_series`` workload
-    at seed 1 the modular rank reaches r_t in all 210 of its kernels.
+    exact span, and adding stops once its dimension reaches h(t-1).  On
+    the bench's ``random_series`` workload at seed 1 the modular rank
+    reaches r_t in all 210 of its kernels.
     """
     if not isinstance(partial, DualForm) or partial.context != W.context:
         raise ContextMismatchError("expected a DualForm over the series context")

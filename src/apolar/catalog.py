@@ -366,17 +366,6 @@ def canonical_partial(spec: FamilySpec, W: LinearSeries) -> DualForm:
     return parse_dual_form(canonical_partial_text(spec), W.context)
 
 
-def closed_form_count_shape(spec: FamilySpec) -> tuple[int, tuple[int, ...]] | None:
-    """The variable count (the first factor of the record's size) and the
-    closed-form Hilbert function of a family, which fix the size of its
-    generator count with no polynomial built; None without a closed
-    form."""
-    record = _FAMILIES[spec.family]
-    if record.hilbert is None:
-        return None
-    return next(iter(record.size(*spec.params))), tuple(record.hilbert(*spec.params))
-
-
 def closed_form_hilbert(spec: FamilySpec) -> tuple[int, ...]:
     """Formula values of the Hilbert function, no polynomial arithmetic."""
     hilbert = _FAMILIES[spec.family].hilbert

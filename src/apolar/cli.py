@@ -109,21 +109,19 @@ def load_series(
 ) -> tuple[LinearSeries, str, FamilySpec | None]:
     """The series a ``--form`` argument names, the argument itself as its
     id, and its family (None for a form file).  Over-limit input exits 2
-    before it is built.  With ``count``, so does a series whose generator
-    count would eliminate more than MAX_PROLONGATION_SIZE unknowns
-    (:func:`_check_prolongation_size`): a builtin with a closed-form
-    Hilbert function before anything is built, any other once its layers
-    are."""
+    before it is built.  With ``count``, so does a builtin with a
+    closed-form Hilbert function whose generator count would eliminate
+    more than MAX_PROLONGATION_SIZE unknowns; any other series is checked
+    by its command once the arguments are (:func:`_check_prolongation_size`)."""
     if src.startswith("builtin:"):
         spec = parse_family(src[len("builtin:") :])
         catalog.check_size(spec, MAX_BUILD_SIZE, MAX_LENGTH_BOUND)
-        early = count and catalog.closed_form_count_shape(spec) is not None
-        if early:
-            _check_prolongation_size(None, src, spec)
-        W = catalog.build(spec)
-        if count and not early:
-            _check_prolongation_size(W, src, spec)
-        return W, src, spec
+        if count:
+            try:
+                _check_prolongation_size(None, src, spec)
+            except catalog.NoClosedFormError:
+                pass  # perm: checked once built
+        return catalog.build(spec), src, spec
     lines = [ln for _, ln in _read_lines(src)]
     if not lines:
         raise CliError(f"error: form file {src!r} contains no polynomials", 1)
@@ -149,8 +147,6 @@ def load_series(
             f"{bound}, over the limit of {MAX_LENGTH_BOUND}",
             2,
         )
-    if count:
-        _check_prolongation_size(W, src, None)
     return W, src, None
 
 
@@ -310,12 +306,22 @@ def _prolongation_size(W: LinearSeries | None, spec: FamilySpec | None) -> int:
     """Unknowns the generator count eliminates: ``n * h(t-1)`` for each
     degree t whose layer t-1 is not all of R_{t-1} (see
     ``apolarity.minimal_generator_degrees``).  For a builtin with a
-    closed-form Hilbert function, n (its record's variable count) and h
-    (the formula) come from the family record, so W is not read and may
-    be None; otherwise they are W's context and layers.  n is the
-    context's, which can exceed h(1) (``matmul``)."""
-    shape = catalog.closed_form_count_shape(spec) if spec else None
-    n, dims = shape or (len(W.context), hilbert_function(W))
+    closed-form Hilbert function, h is the formula and n the first factor
+    of its family record's size (its variable count), so W is not read
+    and may be None; otherwise both come from W and its layers, and with
+    W None this raises NoClosedFormError.  n is the context's length,
+    which can exceed h(1) (``matmul``)."""
+    dims = None
+    if spec is not None:
+        try:
+            dims = catalog.closed_form_hilbert(spec)
+        except catalog.NoClosedFormError:
+            if W is None:
+                raise
+    if dims is None:
+        n, dims = len(W.context), hilbert_function(W)
+    else:
+        n = next(iter(catalog._FAMILIES[spec.family].size(*spec.params)))
     return sum(n * h for s, h in enumerate(dims) if h != math.comb(n + s - 1, s))
 
 
@@ -349,6 +355,7 @@ def cmd_bounds(args) -> str:
     assertion = InvarianceAssertion(
         args.assert_invariance, args.invariance_note or ""
     )
+    _check_prolongation_size(W, form_id, spec)
     det_n = spec.params[0] if spec and spec.family == "det" else None
     report = bound_report(
         W,
@@ -386,10 +393,11 @@ def cmd_hilbert(args) -> str:
 
 
 def cmd_apolar_gens(args) -> str:
-    W, form_id, _ = load_series(args.form, count=True)
+    W, form_id, spec = load_series(args.form, count=True)
     max_degree = args.max_degree if args.max_degree is not None else W.degree + 1
     if max_degree < 1:
         raise CliError("error: --max-degree must be at least 1", 2)
+    _check_prolongation_size(W, form_id, spec)
     gens = minimal_generators(W, max_degree)
     delta = minimal_generator_degrees(W).delta
     return render_generators(form_id, gens, delta, args.format)

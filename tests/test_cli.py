@@ -361,6 +361,33 @@ def test_wide_series_is_refused_before_its_generator_count(tmp_path, capsys, com
     )
 
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (
+            ("bounds", "--partial", "zz"),
+            1,
+            "error: --partial: line 1, column 1: dual variable must be named "
+            "'d' or 'd_<name>', got 'zz'\n",
+        ),
+        (("apolar-gens", "--max-degree", "0"), 2, "error: --max-degree must be at least 1\n"),
+    ],
+)
+def test_form_file_over_the_count_limit_reports_a_bad_argument_first(
+    tmp_path, capsys, monkeypatch, argv, code, message
+):
+    # the count size of a form file is read off its layers, so it is
+    # checked after the arguments, and a bad one is reported with no
+    # layer built
+    def closure(*args):
+        raise AssertionError("a layer was built")
+
+    monkeypatch.setattr(apolarity, "_closure", closure)
+    path = tmp_path / "wide.txt"
+    path.write_text("".join(f"x[{i}]*y\n" for i in range(1, 2001)), encoding="utf-8")
+    assert run_cli(capsys, argv[0], "--form", str(path), *argv[1:]) == (code, "", message)
+
+
 @pytest.mark.parametrize("argv", [("bounds", "--trials", "1"), ("apolar-gens",)])
 def test_builtin_over_the_count_limit_is_refused_before_any_layer(capsys, monkeypatch, argv):
     # det:8 would eliminate 819520 unknowns; its closed-form Hilbert
