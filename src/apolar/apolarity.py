@@ -152,10 +152,11 @@ class _Keys:
 
 
 class _Gradients:
-    """The first partials of the rows of one derivative layer, for the
-    generator count and the derivative trials: ``rows[r]`` lists
-    ``(i, d_i row)`` for the variables i that row r contains (the other
-    partials are zero), and :attr:`packed` the same partials packed for
+    """The first partials of the rows of one derivative layer, from
+    which :func:`_image_rank` builds the images of the generator count
+    and of the derivative kernels: ``rows[r]`` lists ``(i, d_i row)``
+    for the variables i that row r contains (the other partials are
+    zero), and :attr:`packed` the same partials packed for
     :class:`linalg.ModularRank`, one slot per monomial that occurs in
     them."""
 
@@ -428,19 +429,16 @@ def derivative_kernel_dims(W: LinearSeries, partial: DualForm) -> list[int]:
 
     the sum of this list, with no derivative series built.
     Scaling D leaves its kernels alone, so its denominators are cleared
-    once and every image is an integer row, ``sum_i D_i * d_i row`` over
-    the cached partials of the layer rows (``W._gradients``).  A_0 (the
-    constants) is killed whole.  For t >= 1 the rank of D on A_t needs
-    no elimination when A_t is all of R_t (h(t) = C(n+t-1, t)): D maps
-    R_t onto R_{t-1}, so the rank is C(n+t-2, t-1).  Otherwise the rank
-    is at most ``r_t = min(h(t), h(t-1))``, since ``D(A_t)`` lies in
-    A_{t-1}.  When the partials the images combine are dense
-    (:func:`linalg.packs_densely`), the rank of the images mod PRIME is
-    tried first, and if it reaches r_t that is the rank: a modular rank
-    never exceeds the rational one.  Otherwise the images go into one
-    exact span, and adding stops once its dimension reaches h(t-1).  On
-    the bench's ``random_series`` workload at seed 1 the modular rank
-    reaches r_t in all 210 of its kernels.
+    once and the images ``sum_i D_i * d_i row`` of the rows of A_t are
+    integer rows: :func:`_image_rank` with the one plan
+    ``{i: (D_i, block 0)}``.  A_0 (the constants) is killed whole.  For
+    t >= 1 the rank of D on A_t needs no elimination when A_t is all of
+    R_t (h(t) = C(n+t-1, t)): D maps R_t onto R_{t-1}, so the rank is
+    C(n+t-2, t-1).  Otherwise the rank is at most
+    ``r_t = min(h(t), h(t-1))``, since ``D(A_t)`` lies in A_{t-1}, and
+    adding images stops once it is reached.  On the bench's
+    ``random_series`` workload at seed 1 the modular rank reaches r_t in
+    all 210 of its kernels.
     """
     if not isinstance(partial, DualForm) or partial.context != W.context:
         raise ContextMismatchError("expected a DualForm over the series context")
@@ -448,48 +446,79 @@ def derivative_kernel_dims(W: LinearSeries, partial: DualForm) -> list[int]:
         raise ValueError("derivative direction must be a nonzero linear dual form")
     n = len(W.context)
     dims = hilbert_function(W)
-    coeffs = {m.index(1): c for m, c in clear_denominators(partial.terms).items()}
-    residues = {i: c % PRIME for i, c in coeffs.items()}
+    plan = {m.index(1): (c, 0) for m, c in clear_denominators(partial.terms).items()}
     out = [dims[0]]
     for t in range(1, len(dims)):
         h = dims[t]
         if h == math.comb(n + t - 1, t):
             out.append(h - math.comb(n + t - 2, t - 1))
-            continue
-        grads = W._gradients(t)
-        r = min(h, dims[t - 1])
-        if _kernel_reaches(grads, residues, r):
-            out.append(h - r)
-            continue
-        images = SpanBuilder()
-        for grad in grads.rows:
-            image: dict = {}
-            for i, dk in grad:
-                c = coeffs.get(i)
-                if c:
-                    for k, v in dk.items():
-                        image[k] = image.get(k, 0) + c * v
-            images.add(image)
-            if images.dim == dims[t - 1]:
-                break
-        out.append(h - images.dim)
+        else:
+            out.append(h - _image_rank(W, t, [plan], 1, min(h, dims[t - 1]), True))
     return out
 
 
-def _kernel_reaches(grads: _Gradients, residues: dict[int, int], bound: int) -> bool:
-    """Whether the images ``sum_i D_i * d_i row`` of the layer rows with
-    partials ``grads`` are dense and reach rank ``bound`` mod PRIME,
-    where ``residues`` maps each variable of D to its coefficient mod
-    PRIME.  Adding stops at the bound."""
-    sizes = [len(dk) for grad in grads.rows for i, dk in grad if i in residues]
-    if not packs_densely(sum(sizes), len(sizes), len(grads.slots)):
-        return False
-    modular = ModularRank(len(grads.slots))
-    for grad in grads.packed:
-        image = sum(residues[i] * pk for i, pk in grad if i in residues)
-        if modular.add(image) and modular.dim == bound:
-            return True
-    return False
+def _image_rank(
+    W: LinearSeries, s: int, plans: list[dict], blocks: int, bound: int, stop: bool
+) -> int:
+    """The rank of the images of the rows of layer A_s under ``plans``,
+    for a rank known to be at most ``bound``.
+
+    A plan maps a variable k to ``(c, b)``, an integer and a block in
+    ``range(blocks)``.  For each plan in turn, and each row of A_s, the
+    image is ``sum_k c * d_k row`` with ``d_k row`` placed in block b,
+    over the cached partials of ``W._gradients(s)``.  Exact keys are
+    ``(b << n * width) | m``: block-major, as a ``(b, m)`` tuple would
+    be.  With ``stop``, adding ends once the rank reaches ``bound``.
+
+    When the images are dense (:func:`linalg.packs_densely`, one slot per
+    monomial of the partials in each block), their rank mod PRIME is
+    taken first, and if it equals ``bound`` that is the rank: a modular
+    rank never exceeds the rational one.  Without ``stop`` every image
+    goes in, so a modular rank above the bound (a wrong layer) does not
+    equal it, and the exact span then reports the true rank.  Otherwise,
+    and for sparse images, one exact span decides."""
+    grads = W._gradients(s)
+    width = len(grads.slots)
+    # a plan with v variables in b blocks counts each partial at b/v of
+    # its entries: partials summed in one block overlap, so the block is
+    # taken as filled by their average (their sum would send the sparse
+    # kernels of the families to the modular route, packed at many slots
+    # per nonzero entry)
+    weight = [0.0] * len(W.context)
+    for plan in plans:
+        spread = len({b for _, b in plan.values()}) / len(plan)
+        for k in plan:
+            weight[k] += spread
+    nonzeros = sum(weight[k] * len(dk) for grad in grads.rows for k, dk in grad)
+    if packs_densely(nonzeros, len(plans) * len(grads.rows), blocks * width):
+        modular = ModularRank(blocks * width)
+        for plan in plans:
+            for grad in grads.packed:
+                image = 0
+                for k, pk in grad:
+                    if k in plan:
+                        c, b = plan[k]
+                        image += c % PRIME * pk << SLOT_BITS * width * b
+                if modular.add(image) and stop and modular.dim == bound:
+                    return bound
+        if modular.dim == bound:
+            return bound
+    size = len(W.context) * W._keys.width
+    images = SpanBuilder()
+    for plan in plans:
+        for grad in grads.rows:
+            image: dict = {}
+            for k, dk in grad:
+                if k in plan:
+                    c, b = plan[k]
+                    b <<= size
+                    for m, v in dk.items():
+                        key = b | m
+                        image[key] = image.get(key, 0) + c * v
+            images.add(image)
+            if stop and images.dim == bound:
+                return bound
+    return images.dim
 
 
 def _weight(m: Monomial) -> int:
@@ -580,67 +609,54 @@ def minimal_generator_degrees(W: LinearSeries) -> GeneratorDegrees:
 
 
 def _count_generators(W: LinearSeries) -> GeneratorDegrees:
-    """The count of :func:`minimal_generator_degrees`, made on the packed
-    layer rows.  The image of ``(u_i)`` at the pair i < k and the
-    monomial m is keyed ``((i * n + k) << n * width) | m``: pair-major,
-    as a ``((i, k), m)`` tuple would be, so the pivots follow the pairs
-    first (a monomial-major key gives the same rank after more
-    eliminations).
+    """The count of :func:`minimal_generator_degrees`: the rank of the
+    images of ``(u_i)`` is :func:`_image_rank` of layer t-1 with one plan
+    per unknown u_i, which puts ``d_k row`` in the block of the pair
+    (i, k) for each k > i and ``-d_k row`` in that of (k, i) for k < i.
+    Blocks number the pairs i < k in ``combinations`` order, the order of
+    ``i * n + k``, so the pivots follow the pairs first (a monomial-major
+    key gives the same rank after more eliminations).
 
-    Since P_t contains A_t, the rank of the images is at most
-    ``n * h(t-1) - h(t)``, and it reaches that bound exactly in the
-    degrees with no new generator.  When the images are dense
-    (:func:`linalg.packs_densely`), their rank mod PRIME is taken first,
-    over every image (a modular rank above the bound means a wrong
-    layer, and the exact route below then reports it).  If it equals the
-    bound, that is the rank, since a modular rank never exceeds the
-    rational one; on the bench's ``random_series`` workload at seed 1 it
-    does in 62 of the 70 degrees eliminated.  Otherwise, and for sparse
-    images, the exact span decides.
+    Since P_t contains A_t, the rank is at most ``n * h(t-1) - h(t)``,
+    and it reaches that bound exactly in the degrees with no new
+    generator; every image goes in, so a wrong layer, whose rank exceeds
+    the bound, is reported below.  On the bench's ``random_series``
+    workload at seed 1 the modular rank meets the bound in 62 of the 70
+    degrees eliminated.
 
-    The gradients of the rows of A_{t-1} are the cached ones of
-    ``W._gradients``, and the images go in variable-major: the unknown
-    u_0 of every row, then u_1 of every row, and so on, where adding the
-    n images of one row together meets the pivots of every pair at once.
-    The rank and the count do not depend on the order, but the work
-    does: on the 36 dense random series of the bench's ``random_series``
-    workload at seed 3, in the 9 degrees the modular rank leaves to this
-    route, this order cuts the entries ``linalg._eliminate`` touches from
-    17637 to 10892 and the largest intermediate entry from 258 to 142
-    bits (with every degree eliminated here: 307540 to 206847 entries,
-    2348 to 1539 bits)."""
+    The plans go in turn, so the images go in variable-major: the
+    unknown u_0 of every row, then u_1 of every row, and so on, where
+    adding the n images of one row together meets the pivots of every
+    pair at once.  The rank and the count do not depend on the order,
+    but the work does: on the 36 dense random series of the bench's
+    ``random_series`` workload at seed 3, in the 9 degrees the modular
+    rank leaves to the exact span, row-major order takes 1317
+    ``linalg._eliminate`` steps over 19946 entries (of the vector and the
+    row each step combines) with a largest intermediate entry of 258
+    bits, and this order 1137 steps over 13727 entries with 142 bits
+    (with every degree eliminated exactly: 5643 steps, 341298 entries and
+    2433 bits against 5194, 255195 and 1652)."""
     n = len(W.context)
     layers = W._layers
-    size = n * W._keys.width
+    plans: list[dict] = [{} for _ in range(n)]
+    for j, (i, k) in enumerate(combinations(range(n), 2)):
+        plans[i][k] = (1, j)
+        plans[k][i] = (-1, j)
+    full = [len(layer) == math.comb(n + s - 1, s) for s, layer in enumerate(layers)]
     # the partials of every layer read here are made before any
     # elimination: made between the spans of two degrees, they would pin
     # memory those spans free (11 MB more peak RSS on pf:5)
-    partials = [
-        None if len(layer) == math.comb(n + s - 1, s) else W._gradients(s)
-        for s, layer in enumerate(layers)
-    ]
+    for s in range(len(layers)):
+        if not full[s]:
+            W._gradients(s)
     counts: dict[int, int] = {}
     for t in range(1, W.degree + 2):
-        below = layers[t - 1]
+        unknowns = n * len(layers[t - 1])
         h = len(layers[t]) if t <= W.degree else 0
-        grads = partials[t - 1]
-        if grads is None:
+        if full[t - 1]:
             p_dim = math.comb(n + t - 1, t)
         else:
-            rank = n * len(below) - h
-            if not _prolongation_reaches(grads, n, rank):
-                images = SpanBuilder()
-                for i in range(n):
-                    for grad in grads.rows:
-                        images.add({
-                            ((i * n + k if i < k else k * n + i) << size) | m:
-                                c if i < k else -c
-                            for k, dk in grad
-                            if k != i
-                            for m, c in dk.items()
-                        })
-                rank = images.dim
-            p_dim = n * len(below) - rank
+            p_dim = unknowns - _image_rank(W, t - 1, plans, math.comb(n, 2), unknowns - h, False)
         if p_dim < h:
             raise InvariantError(
                 f"the degree-{t} prolongation of layer {t - 1} has dimension "
@@ -649,34 +665,6 @@ def _count_generators(W: LinearSeries) -> GeneratorDegrees:
         if p_dim > h:
             counts[t] = p_dim - h
     return GeneratorDegrees(counts, max(counts))
-
-
-def _prolongation_reaches(grads: _Gradients, n: int, bound: int) -> bool:
-    """Whether the prolongation images of the layer with partials
-    ``grads`` are dense and have rank exactly ``bound`` mod PRIME.  The
-    image of u_i puts ``d_k row`` in the block of slots of the pair
-    (i, k) for each k > i, and ``-d_k row`` in that of (k, i) for k < i;
-    blocks are pair-major in the order of the exact keys."""
-    pairs = n * (n - 1) // 2
-    block = len(grads.slots)
-    # each partial lands in the images of the n - 1 other unknowns
-    nonzeros = (n - 1) * sum(len(dk) for grad in grads.rows for _, dk in grad)
-    if not packs_densely(nonzeros, n * len(grads.rows), pairs * block):
-        return False
-    offset = {}  # the bit offset of the block of the pair {i, k}
-    for j, (i, k) in enumerate(combinations(range(n), 2)):
-        offset[i, k] = offset[k, i] = SLOT_BITS * block * j
-    modular = ModularRank(pairs * block)
-    for i in range(n):
-        for grad in grads.packed:
-            above = below = 0
-            for k, pk in grad:
-                if k > i:
-                    above += pk << offset[i, k]
-                elif k < i:
-                    below += pk << offset[i, k]
-            modular.add(above + (PRIME - 1) * below)
-    return modular.dim == bound
 
 
 def minimal_generators(

@@ -50,7 +50,7 @@ VERIFY_N_CAP = 5  # verify mode recomputes columns up to this n
 # inputs over these limits exit 2 before any work
 MAX_LENGTH_BOUND = 500_000  # apolar length of a form file (a-priori) or builtin
 # unknowns the generator count eliminates (checked before the count: from
-# the closed form for a builtin that has one, else once the layers are built)
+# the closed form for a builtin that has one, and once the layers are built)
 MAX_PROLONGATION_SIZE = 200_000
 # terms times variables of a builtin or form file, and terms times
 # variables plus degree of an expanded decomposition
@@ -111,16 +111,21 @@ def load_series(
     id, and its family (None for a form file).  Over-limit input exits 2
     before it is built.  With ``count``, so does a builtin with a
     closed-form Hilbert function whose generator count would eliminate
-    more than MAX_PROLONGATION_SIZE unknowns; any other series is checked
-    by its command once the arguments are (:func:`_check_prolongation_size`)."""
+    more than MAX_PROLONGATION_SIZE unknowns; every series is checked by
+    its command, from its layers, once the arguments are
+    (:func:`_check_prolongation_size`)."""
     if src.startswith("builtin:"):
         spec = parse_family(src[len("builtin:") :])
         catalog.check_size(spec, MAX_BUILD_SIZE, MAX_LENGTH_BOUND)
         if count:
             try:
-                _check_prolongation_size(None, src, spec)
+                dims = catalog.closed_form_hilbert(spec)
             except catalog.NoClosedFormError:
-                pass  # perm: checked once built
+                pass  # perm: checked by its command once built
+            else:
+                # the first factor of the record's size is the variable count
+                n = next(iter(catalog._FAMILIES[spec.family].size(*spec.params)))
+                _check_prolongation_size(src, n, dims)
         return catalog.build(spec), src, spec
     lines = [ln for _, ln in _read_lines(src)]
     if not lines:
@@ -302,35 +307,14 @@ def _at_most(flag: str, value: int, limit: int) -> None:
         raise CliError(f"error: {flag} must be at most {limit}", 2)
 
 
-def _prolongation_size(W: LinearSeries | None, spec: FamilySpec | None) -> int:
-    """Unknowns the generator count eliminates: ``n * h(t-1)`` for each
-    degree t whose layer t-1 is not all of R_{t-1} (see
-    ``apolarity.minimal_generator_degrees``).  For a builtin with a
-    closed-form Hilbert function, h is the formula and n the first factor
-    of its family record's size (its variable count), so W is not read
-    and may be None; otherwise both come from W and its layers, and with
-    W None this raises NoClosedFormError.  n is the context's length,
+def _check_prolongation_size(form_id: str, n: int, dims: tuple[int, ...]) -> None:
+    """Exit 2 before the generator count of a series in n variables with
+    Hilbert function ``dims`` if it would eliminate more than
+    MAX_PROLONGATION_SIZE unknowns: ``n * h(t-1)`` for each degree t
+    whose layer t-1 is not all of R_{t-1} (see
+    ``apolarity.minimal_generator_degrees``).  n is the context's length,
     which can exceed h(1) (``matmul``)."""
-    dims = None
-    if spec is not None:
-        try:
-            dims = catalog.closed_form_hilbert(spec)
-        except catalog.NoClosedFormError:
-            if W is None:
-                raise
-    if dims is None:
-        n, dims = len(W.context), hilbert_function(W)
-    else:
-        n = next(iter(catalog._FAMILIES[spec.family].size(*spec.params)))
-    return sum(n * h for s, h in enumerate(dims) if h != math.comb(n + s - 1, s))
-
-
-def _check_prolongation_size(
-    W: LinearSeries | None, form_id: str, spec: FamilySpec | None
-) -> None:
-    """Exit 2 before the generator count if it would eliminate more than
-    MAX_PROLONGATION_SIZE unknowns (:func:`_prolongation_size`)."""
-    size = _prolongation_size(W, spec)
+    size = sum(n * h for s, h in enumerate(dims) if h != math.comb(n + s - 1, s))
     if size > MAX_PROLONGATION_SIZE:
         raise CliError(
             f"error: {form_id}: counting its annihilator generators means "
@@ -355,8 +339,9 @@ def cmd_bounds(args) -> str:
     assertion = InvarianceAssertion(
         args.assert_invariance, args.invariance_note or ""
     )
-    _check_prolongation_size(W, form_id, spec)
-    det_n = spec.params[0] if spec and spec.family == "det" else None
+    _check_prolongation_size(form_id, len(W.context), hilbert_function(W))
+    # the Landsberg-Teitler bound is defined from n = 2 on (det:1 is x)
+    det_n = spec.params[0] if spec and spec.family == "det" and spec.params[0] >= 2 else None
     report = bound_report(
         W,
         form_id,
@@ -393,11 +378,11 @@ def cmd_hilbert(args) -> str:
 
 
 def cmd_apolar_gens(args) -> str:
-    W, form_id, spec = load_series(args.form, count=True)
+    W, form_id, _ = load_series(args.form, count=True)
     max_degree = args.max_degree if args.max_degree is not None else W.degree + 1
     if max_degree < 1:
         raise CliError("error: --max-degree must be at least 1", 2)
-    _check_prolongation_size(W, form_id, spec)
+    _check_prolongation_size(form_id, len(W.context), hilbert_function(W))
     gens = minimal_generators(W, max_degree)
     delta = minimal_generator_degrees(W).delta
     return render_generators(form_id, gens, delta, args.format)

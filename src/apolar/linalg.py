@@ -166,12 +166,6 @@ class SpanBuilder:
         self._rows[p] = (lead, v if g == 1 else {k: c // g for k, c in v.items()})
         return True
 
-    def rows(self) -> Iterator[dict]:
-        """The stored primitive integer rows, pivot term first, in the
-        order they were stored; they span the same space as the input."""
-        for p, (lead, tail) in self._rows.items():
-            yield {p: lead, **tail}
-
     def reduced_rows(self) -> list[dict]:
         """Reduced echelon basis of the span, largest pivot first.
 

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import time
@@ -177,6 +178,22 @@ def test_bounds_json_round_trip(capsys):
         capsys, "bounds", "--form", "builtin:symdet:2", "--format", "json"
     )
     assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
+
+
+def test_bounds_det1_is_the_bounds_of_perm1(capsys):
+    # the 1 x 1 determinant and permanent are both x[1,1]; the
+    # Landsberg-Teitler determinant bound starts at n = 2
+    docs = {}
+    for family in ("det:1", "perm:1", "det:2"):
+        code, out, err = run_cli(
+            capsys, "bounds", "--form", f"builtin:{family}", "--format", "json"
+        )
+        assert (code, err) == (0, "")
+        docs[family] = json.loads(out)
+    assert docs["det:1"]["bounds"] == docs["perm:1"]["bounds"]
+    assert docs["det:1"]["brackets"] == docs["perm:1"]["brackets"]
+    names = [b["name"] for b in docs["det:2"]["bounds"]]
+    assert "landsberg_teitler_det" in names
 
 
 def test_bounds_missing_file_exits_1(capsys):
@@ -434,7 +451,13 @@ def test_count_size_from_the_closed_form_equals_the_size_from_the_layers(family,
     arity = len(catalog._FAMILIES[family].params.split(","))
     spec = catalog.FamilySpec(family, (size,) * arity)
     W = catalog.build(spec)
-    assert cli._prolongation_size(W, spec) == cli._prolongation_size(W, None) > 0
+    # the count size is a function of (n, h): load_series checks it with n
+    # from the family record and the closed form, the commands with the
+    # context and the layers
+    n = next(iter(catalog._FAMILIES[family].size(*spec.params)))
+    dims = catalog.closed_form_hilbert(spec)
+    assert (n, dims) == (len(W.context), apolarity.hilbert_function(W))
+    assert any(h != math.comb(n + s - 1, s) for s, h in enumerate(dims))
 
 
 def test_one_variable_degree_20000_is_under_the_length_bound(tmp_path):

@@ -10,6 +10,7 @@ code with the packed route.
 """
 
 import random
+from itertools import combinations
 from unittest import mock
 
 from hypothesis import given, settings
@@ -189,42 +190,60 @@ def series_and_direction(draw):
 
 def routes(n, forms, direction, dense):
     """Generator counts and kernel dims of a fresh series, with every span
-    taken as dense (certificate first) or as sparse (exact only)."""
+    taken as dense (certificate first) or as sparse (exact only), and the
+    number of vectors given to the certificate."""
     ctx = VarContext(tuple(f"x{i}" for i in range(n)))
     W = LinearSeries.of_forms([Polynomial(ctx, f) for f in forms])
     D = DualForm(
         ctx,
         {tuple(int(j == i) for j in range(n)): c for i, c in enumerate(direction) if c},
     )
-    with mock.patch.object(apolarity, "packs_densely", lambda *a: dense):
+    modular_adds = []
+    modular_add = ModularRank.add
+
+    def recorded(self, x):
+        modular_adds.append(x)
+        return modular_add(self, x)
+
+    with mock.patch.object(apolarity, "packs_densely", lambda *a: dense), \
+            mock.patch.object(ModularRank, "add", recorded):
         gd = minimal_generator_degrees(W)
         kernels = derivative_kernel_dims(W, D)
-    return W, D, gd, kernels
+    return W, D, gd, kernels, len(modular_adds)
 
 
 @settings(max_examples=150, deadline=None)
 @given(series_and_direction())
 def test_certificate_route_equals_the_exact_route(case):
     n, forms, direction = case
-    W, D, gd, kernels = routes(n, forms, direction, True)
+    W, D, gd, kernels, adds = routes(n, forms, direction, True)
     assert W.dim <= 3
-    _, _, exact_gd, exact_kernels = routes(n, forms, direction, False)
+    _, _, exact_gd, exact_kernels, exact_adds = routes(n, forms, direction, False)
     assert (gd.counts, gd.delta) == (exact_gd.counts, exact_gd.delta)
     assert kernels == exact_kernels
-
-    # asked for one more than the exact rank, the certificate never holds
+    # forced dense, every layer that is not all of R_t is ranked by the
+    # certificate first; forced sparse, the certificate is never used
     dims = hilbert_function(W)
-    residues = {m.index(1): c % PRIME for m, c in clear_denominators(D.terms).items()}
+    assert (adds > 0) == any(h < len(naive_monomials(n, t)) for t, h in enumerate(dims))
+    assert exact_adds == 0
+
+    # asked for one more than the exact rank, the certificate never holds:
+    # one that wrongly held would return that bound instead of the rank
+    pair = {p: j for j, p in enumerate(combinations(range(n), 2))}
+    plans = [
+        {k: (1, pair[i, k]) if i < k else (-1, pair[k, i]) for k in range(n) if k != i}
+        for i in range(n)
+    ]
+    plan = {m.index(1): (c, 0) for m, c in clear_denominators(D.terms).items()}
     with mock.patch.object(apolarity, "packs_densely", lambda *a: True):
         for t in range(1, W.degree + 2):
             h = dims[t] if t <= W.degree else 0
-            below = W._gradients(t - 1)
             if dims[t - 1] != len(naive_monomials(n, t - 1)):
                 rank = n * dims[t - 1] - h - gd.counts.get(t, 0)
-                assert not apolarity._prolongation_reaches(below, n, rank + 1)
+                assert apolarity._image_rank(W, t - 1, plans, len(pair), rank + 1, False) == rank
             if t <= W.degree:
                 rank = h - kernels[t]
-                assert not apolarity._kernel_reaches(W._gradients(t), residues, rank + 1)
+                assert apolarity._image_rank(W, t, [plan], 1, rank + 1, True) == rank
 
 
 # ----------------------------------------------------------------------
