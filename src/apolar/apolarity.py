@@ -154,31 +154,28 @@ class _Keys:
 class _Gradients:
     """The first partials of the rows of one derivative layer, from
     which :func:`_image_rank` builds the images of the generator count
-    and of the derivative kernels: ``rows[r]`` lists ``(i, d_i row)``
-    for the variables i that row r contains (the other partials are
-    zero), and :attr:`packed` the same partials packed for
-    :class:`linalg.ModularRank`, one slot per monomial that occurs in
-    them."""
+    and of the derivative kernels.  The monomials the partials contain
+    are numbered once, in key order, as ``width`` columns: ``rows[r]``
+    lists ``(i, {column: coefficient})`` for the variables i that row r
+    contains (the other partials are zero), and :attr:`packed` the same
+    partials packed for :class:`linalg.ModularRank`, one slot per
+    column."""
 
     def __init__(self, layer: list[dict], keys: _Keys) -> None:
-        self.rows = [[(i, keys.partial(row, i)) for i in keys.variables(row)] for row in layer]
-
-    @cached_property
-    def slots(self) -> dict[int, int]:
-        """The slot of each monomial of the partials, in key order."""
-        found = {m for grad in self.rows for _, dk in grad for m in dk}
-        return {m: j for j, m in enumerate(sorted(found))}
+        rows = [[(i, keys.partial(row, i)) for i in keys.variables(row)] for row in layer]
+        columns = sorted({m for grad in rows for _, dk in grad for m in dk})
+        self.width = len(columns)
+        column = dict(zip(columns, range(self.width)))
+        self.rows = [
+            [(i, {column[m]: c for m, c in dk.items()}) for i, dk in grad] for grad in rows
+        ]
 
     @cached_property
     def packed(self) -> list[list[tuple[int, int]]]:
         """Made only where the partials are dense (a dense count needs
         dense partials too), so it holds at most eight 96-bit slots per
         nonzero entry."""
-        slots = self.slots
-        return [
-            [(i, pack(((slots[m], c) for m, c in dk.items()), len(slots))) for i, dk in grad]
-            for grad in self.rows
-        ]
+        return [[(i, pack(dk.items(), self.width)) for i, dk in grad] for grad in self.rows]
 
 
 @dataclass(frozen=True)
@@ -260,16 +257,19 @@ class LinearSeries:
         return tuple(reversed(_closure(tops, keys, caps)))
 
     @cached_property
-    def _gradient_cache(self) -> dict[int, _Gradients]:
-        return {}
-
-    def _gradients(self, t: int) -> _Gradients:
-        """The :class:`_Gradients` of layer t, made once per series: the
-        generator count and every derivative trial share them."""
-        grads = self._gradient_cache.get(t)
-        if grads is None:
-            grads = self._gradient_cache[t] = _Gradients(self._layers[t], self._keys)
-        return grads
+    def _gradients(self) -> tuple[_Gradients | None, ...]:
+        """The :class:`_Gradients` of each layer A_t, made once per series
+        and shared by the generator count and every derivative trial;
+        None where A_t is all of R_t (h(t) = C(n+t-1, t)), whose ranks
+        have closed forms.  Both callers read this before any
+        elimination: partials made between the spans of two degrees
+        would pin memory those spans free (11 MB more peak RSS on
+        pf:5)."""
+        n, keys = len(self.context), self._keys
+        return tuple(
+            None if len(layer) == math.comb(n + t - 1, t) else _Gradients(layer, keys)
+            for t, layer in enumerate(self._layers)
+        )
 
     @cached_property
     def _generator_degrees(self) -> GeneratorDegrees:
@@ -433,8 +433,8 @@ def derivative_kernel_dims(W: LinearSeries, partial: DualForm) -> list[int]:
     integer rows: :func:`_image_rank` with the one plan
     ``{i: (D_i, block 0)}``.  A_0 (the constants) is killed whole.  For
     t >= 1 the rank of D on A_t needs no elimination when A_t is all of
-    R_t (h(t) = C(n+t-1, t)): D maps R_t onto R_{t-1}, so the rank is
-    C(n+t-2, t-1).  Otherwise the rank is at most
+    R_t (``W._gradients[t]`` is None): D maps R_t onto R_{t-1}, so the
+    rank is C(n+t-2, t-1).  Otherwise the rank is at most
     ``r_t = min(h(t), h(t-1))``, since ``D(A_t)`` lies in A_{t-1}, and
     adding images stops once it is reached.  On the bench's
     ``random_series`` workload at seed 1 the modular rank reaches r_t in
@@ -446,11 +446,12 @@ def derivative_kernel_dims(W: LinearSeries, partial: DualForm) -> list[int]:
         raise ValueError("derivative direction must be a nonzero linear dual form")
     n = len(W.context)
     dims = hilbert_function(W)
+    grads = W._gradients
     plan = {m.index(1): (c, 0) for m, c in clear_denominators(partial.terms).items()}
     out = [dims[0]]
     for t in range(1, len(dims)):
         h = dims[t]
-        if h == math.comb(n + t - 1, t):
+        if grads[t] is None:
             out.append(h - math.comb(n + t - 2, t - 1))
         else:
             out.append(h - _image_rank(W, t, [plan], 1, min(h, dims[t - 1]), True))
@@ -466,19 +467,21 @@ def _image_rank(
     A plan maps a variable k to ``(c, b)``, an integer and a block in
     ``range(blocks)``.  For each plan in turn, and each row of A_s, the
     image is ``sum_k c * d_k row`` with ``d_k row`` placed in block b,
-    over the cached partials of ``W._gradients(s)``.  Exact keys are
-    ``(b << n * width) | m``: block-major, as a ``(b, m)`` tuple would
-    be.  With ``stop``, adding ends once the rank reaches ``bound``.
+    over the cached partials ``W._gradients[s]`` (A_s must not be all of
+    R_s).  Column j of block b is the number ``b * width + j``, both the
+    exact key of an image entry and its slot in a packed image, so keys
+    sort block-major and then in monomial order, as ``(b, m)`` tuples
+    would.  With ``stop``, adding ends once the rank reaches ``bound``.
 
     When the images are dense (:func:`linalg.packs_densely`, one slot per
-    monomial of the partials in each block), their rank mod PRIME is
-    taken first, and if it equals ``bound`` that is the rank: a modular
-    rank never exceeds the rational one.  Without ``stop`` every image
-    goes in, so a modular rank above the bound (a wrong layer) does not
-    equal it, and the exact span then reports the true rank.  Otherwise,
-    and for sparse images, one exact span decides."""
-    grads = W._gradients(s)
-    width = len(grads.slots)
+    column in each block), their rank mod PRIME is taken first, and if
+    it equals ``bound`` that is the rank: a modular rank never exceeds
+    the rational one.  Without ``stop`` every image goes in, so a
+    modular rank above the bound (a wrong layer) does not equal it, and
+    the exact span then reports the true rank.  Otherwise, and for
+    sparse images, one exact span decides."""
+    grads = W._gradients[s]
+    width = grads.width
     # a plan with v variables in b blocks counts each partial at b/v of
     # its entries: partials summed in one block overlap, so the block is
     # taken as filled by their average (their sum would send the sparse
@@ -503,7 +506,6 @@ def _image_rank(
                     return bound
         if modular.dim == bound:
             return bound
-    size = len(W.context) * W._keys.width
     images = SpanBuilder()
     for plan in plans:
         for grad in grads.rows:
@@ -511,9 +513,9 @@ def _image_rank(
             for k, dk in grad:
                 if k in plan:
                     c, b = plan[k]
-                    b <<= size
-                    for m, v in dk.items():
-                        key = b | m
+                    b *= width
+                    for j, v in dk.items():
+                        key = b + j
                         image[key] = image.get(key, 0) + c * v
             images.add(image)
             if stop and images.dim == bound:
@@ -615,7 +617,8 @@ def _count_generators(W: LinearSeries) -> GeneratorDegrees:
     (i, k) for each k > i and ``-d_k row`` in that of (k, i) for k < i.
     Blocks number the pairs i < k in ``combinations`` order, the order of
     ``i * n + k``, so the pivots follow the pairs first (a monomial-major
-    key gives the same rank after more eliminations).
+    key gives the same rank after more eliminations).  Where A_{t-1} is
+    all of R_{t-1} (``W._gradients[t-1]`` is None) P_t is all of R_t.
 
     Since P_t contains A_t, the rank is at most ``n * h(t-1) - h(t)``,
     and it reaches that bound exactly in the degrees with no new
@@ -642,18 +645,12 @@ def _count_generators(W: LinearSeries) -> GeneratorDegrees:
     for j, (i, k) in enumerate(combinations(range(n), 2)):
         plans[i][k] = (1, j)
         plans[k][i] = (-1, j)
-    full = [len(layer) == math.comb(n + s - 1, s) for s, layer in enumerate(layers)]
-    # the partials of every layer read here are made before any
-    # elimination: made between the spans of two degrees, they would pin
-    # memory those spans free (11 MB more peak RSS on pf:5)
-    for s in range(len(layers)):
-        if not full[s]:
-            W._gradients(s)
+    grads = W._gradients
     counts: dict[int, int] = {}
     for t in range(1, W.degree + 2):
         unknowns = n * len(layers[t - 1])
         h = len(layers[t]) if t <= W.degree else 0
-        if full[t - 1]:
+        if grads[t - 1] is None:
             p_dim = math.comb(n + t - 1, t)
         else:
             p_dim = unknowns - _image_rank(W, t - 1, plans, math.comb(n, 2), unknowns - h, False)

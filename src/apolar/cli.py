@@ -566,6 +566,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory: the input is too large for this process", file=sys.stderr)
+        return 2
     return 0
 
 

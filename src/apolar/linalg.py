@@ -18,10 +18,13 @@ The dense side is only an adapter for callers of the public
 :func:`rank` and :func:`kernel_basis` feed its rows to the same engine.
 
 Row form: a vector is a sparse map from orderable keys to rationals.
-Layer rows, and the prolongation and kernel-of-derivative vectors made
-from them, use packed int keys (one ``int`` per exponent vector, see
-``apolarity._Keys``) whose order equals the exponent-tuple order;
-annihilator and colon rows use exponent tuples.  On entry a vector is
+Layer rows use packed int keys (one ``int`` per exponent vector, see
+``apolarity._Keys``) whose order equals the exponent-tuple order.  The
+prolongation and kernel-of-derivative vectors made from them use column
+keys ``b * width + j``: column j numbers the monomials of a layer's
+partials in that order (``apolarity._Gradients``), and b is a block,
+so keys sort block-major and then by monomial.  Annihilator and colon
+rows use exponent tuples.  On entry a vector is
 copied, its zeros dropped and its denominators cleared, each only when a
 C-level check finds the need (``0 in`` its values, and ``math.gcd`` of
 them, which raises ``TypeError`` on a ``Fraction``): every packed vector
@@ -116,11 +119,11 @@ def _eliminate(v: dict, a: int, lead: int, tail: dict) -> tuple[dict, int]:
 class SpanBuilder:
     """Incremental sparse echelon form over the rationals.
 
-    Vectors are mappings from orderable keys (packed monomial ints or
-    exponent tuples, or negated column indices for matrices) to rational
-    coefficients.  Rows are stored as primitive integer vectors, one per
-    pivot, the pivot being the row's largest key; see the module
-    docstring for the elimination step.
+    Vectors are mappings from orderable keys (packed monomial ints,
+    column keys or exponent tuples, or negated column indices for
+    matrices) to rational coefficients.  Rows are stored as primitive
+    integer vectors, one per pivot, the pivot being the row's largest
+    key; see the module docstring for the elimination step.
     """
 
     def __init__(self) -> None:

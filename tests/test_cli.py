@@ -904,6 +904,52 @@ def test_hilbert_of_a_high_power_runs_in_little_memory(tmp_path):
     assert "apolar length: 100001" in proc.stdout
 
 
+def test_bounds_of_a_sum_of_1000_squares_runs_in_little_memory(tmp_path):
+    # the generator count's prolongation images of this form hold about
+    # 10^6 entries; keyed by column numbers they are small ints, keyed by
+    # 2000-bit packed monomials the same run needs over 400 MB.  The
+    # child's address space is capped, so a regression fails fast
+    resource = pytest.importorskip("resource")
+    import os
+
+    path = tmp_path / "squares.txt"
+    path.write_text(" + ".join(f"x[{i}]^2" for i in range(1, 1001)) + "\n", encoding="utf-8")
+    cap = 320 * 2**20
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "apolar", "bounds", "--form", str(path),
+         "--trials", "1", "--format", "json"],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert proc.returncode == 0, proc.stderr[-500:]
+    values = {b["name"]: b["integer_value"] for b in json.loads(proc.stdout)["bounds"]}
+    assert values == {
+        "sylvester": 1000,
+        "ranestad_schreyer": 501,
+        "generic_derivative": 1000,
+        "bernardi_ranestad_upper": 1001,
+    }
+
+
+def test_running_out_of_memory_is_a_one_line_error(capsys, monkeypatch):
+    def exhausted(W):
+        raise MemoryError
+
+    # the parser, and the command each subparser names, is built once, so
+    # the computation inside the command is the one made to fail
+    monkeypatch.setattr(cli, "hilbert_function", exhausted)
+    code, out, err = run_cli(capsys, "hilbert", "--form", "builtin:det:2")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: out of memory")
+
+
 def test_hilbert_of_linear_form_in_many_variables(tmp_path, capsys):
     form = tmp_path / "wide.txt"
     form.write_text(" + ".join(f"x[{i}]" for i in range(1, 1201)) + "\n", encoding="utf-8")
