@@ -50,7 +50,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import combinations, compress
+from itertools import compress
 from operator import or_
 
 from .linalg import (
@@ -152,11 +152,13 @@ class _Keys:
 
 
 class _Gradients:
-    """The first partials of the rows of one derivative layer, from
-    which :func:`_image_rank` builds the images of the generator count
-    and of the derivative kernels.  The monomials the partials contain
-    are numbered once, in key order, as ``width`` columns: ``rows[r]``
-    lists ``(i, {column: coefficient})`` for the variables i that row r
+    """The first partials of the rows of one derivative layer: the one
+    input :func:`_image_rank` reads of the layer, for the generator
+    count and for every derivative kernel.  Each image sums some of a
+    row's partials, each placed in a block, as the plan of one unknown
+    says.  The monomials the partials contain are numbered once, in key
+    order, as ``width`` columns: ``rows[r]`` lists
+    ``(i, {column: coefficient})`` for the variables i that row r
     contains (the other partials are zero), and :attr:`packed` the same
     partials packed for :class:`linalg.ModularRank`, one slot per
     column."""
@@ -430,11 +432,16 @@ def derivative_kernel_dims(W: LinearSeries, partial: DualForm) -> list[int]:
     the sum of this list, with no derivative series built.
     Scaling D leaves its kernels alone, so its denominators are cleared
     once and the images ``sum_i D_i * d_i row`` of the rows of A_t are
-    integer rows: :func:`_image_rank` with the one plan
-    ``{i: (D_i, block 0)}``.  A_0 (the constants) is killed whole.  For
-    t >= 1 the rank of D on A_t needs no elimination when A_t is all of
-    R_t (``W._gradients[t]`` is None): D maps R_t onto R_{t-1}, so the
-    rank is C(n+t-2, t-1).  Otherwise the rank is at most
+    integer rows: :func:`_image_rank` with one unknown, whose plan
+    ``{i: (D_i, block 0)}`` sums the partials by the v variables of D in
+    one block.  Summed partials overlap, so each weighs 1/v in the
+    density test and the block counts as filled by their average (their
+    sum would send the sparse kernels of the families to the modular
+    route, packed at many slots per nonzero entry).  A_0 (the constants)
+    is killed whole.  For t >= 1 the rank of D on A_t needs no
+    elimination when A_t is all of R_t (``W._gradients[t]`` is None): D
+    maps R_t onto R_{t-1}, so the rank is C(n+t-2, t-1).  Otherwise the
+    rank is at most
     ``r_t = min(h(t), h(t-1))``, since ``D(A_t)`` lies in A_{t-1}, and
     adding images stops once it is reached.  On the bench's
     ``random_series`` workload at seed 1 the modular rank reaches r_t in
@@ -448,54 +455,48 @@ def derivative_kernel_dims(W: LinearSeries, partial: DualForm) -> list[int]:
     dims = hilbert_function(W)
     grads = W._gradients
     plan = {m.index(1): (c, 0) for m, c in clear_denominators(partial.terms).items()}
+    weight = dict.fromkeys(plan, 1 / len(plan))
     out = [dims[0]]
     for t in range(1, len(dims)):
         h = dims[t]
         if grads[t] is None:
             out.append(h - math.comb(n + t - 2, t - 1))
         else:
-            out.append(h - _image_rank(W, t, [plan], 1, min(h, dims[t - 1]), True))
+            rank = _image_rank(grads[t], lambda u: plan, 1, 1, weight, min(h, dims[t - 1]), True)
+            out.append(h - rank)
     return out
 
 
 def _image_rank(
-    W: LinearSeries, s: int, plans: list[dict], blocks: int, bound: int, stop: bool
+    grads: _Gradients, plan_of, unknowns: int, blocks: int, weight: dict, bound: int, stop: bool
 ) -> int:
-    """The rank of the images of the rows of layer A_s under ``plans``,
-    for a rank known to be at most ``bound``.
+    """The rank of the images of the unknowns ``u = 0 .. unknowns-1`` of
+    each row of a layer A_s whose partials are ``grads`` (A_s must not
+    be all of R_s), for a rank known to be at most ``bound``.
 
-    A plan maps a variable k to ``(c, b)``, an integer and a block in
-    ``range(blocks)``.  For each plan in turn, and each row of A_s, the
-    image is ``sum_k c * d_k row`` with ``d_k row`` placed in block b,
-    over the cached partials ``W._gradients[s]`` (A_s must not be all of
-    R_s).  Column j of block b is the number ``b * width + j``, both the
-    exact key of an image entry and its slot in a packed image, so keys
-    sort block-major and then in monomial order, as ``(b, m)`` tuples
-    would.  With ``stop``, adding ends once the rank reaches ``bound``.
+    ``plan_of(u)``, made when unknown u is reached, maps a variable k to
+    ``(c, b)``, an integer and a block in ``range(blocks)``.  For each
+    unknown in turn, and each row of A_s, the image is
+    ``sum_k c * d_k row`` with ``d_k row`` placed in block b.  Column j
+    of block b is the number ``b * width + j``, both the exact key of an
+    image entry and its slot in a packed image, so keys sort block-major
+    and then in monomial order, as ``(b, m)`` tuples would.  With
+    ``stop``, adding ends once the rank reaches ``bound``.
 
-    When the images are dense (:func:`linalg.packs_densely`, one slot per
-    column in each block), their rank mod PRIME is taken first, and if
-    it equals ``bound`` that is the rank: a modular rank never exceeds
-    the rational one.  Without ``stop`` every image goes in, so a
-    modular rank above the bound (a wrong layer) does not equal it, and
-    the exact span then reports the true rank.  Otherwise, and for
+    The images count as ``weight[k]`` times the entries of each partial
+    ``d_k row`` (a variable absent from ``weight`` counts nothing).
+    When that fills one slot in eight (:func:`linalg.packs_densely`, one
+    slot per column in each block), their rank mod PRIME is taken first,
+    and if it equals ``bound`` that is the rank: a modular rank never
+    exceeds the rational one.  Without ``stop`` every image goes in, so
+    a modular rank above the bound (a wrong layer) does not equal it,
+    and the exact span then reports the true rank.  Otherwise, and for
     sparse images, one exact span decides."""
-    grads = W._gradients[s]
     width = grads.width
-    # a plan with v variables in b blocks counts each partial at b/v of
-    # its entries: partials summed in one block overlap, so the block is
-    # taken as filled by their average (their sum would send the sparse
-    # kernels of the families to the modular route, packed at many slots
-    # per nonzero entry)
-    weight = [0.0] * len(W.context)
-    for plan in plans:
-        spread = len({b for _, b in plan.values()}) / len(plan)
-        for k in plan:
-            weight[k] += spread
-    nonzeros = sum(weight[k] * len(dk) for grad in grads.rows for k, dk in grad)
-    if packs_densely(nonzeros, len(plans) * len(grads.rows), blocks * width):
+    nonzeros = sum(weight.get(k, 0) * len(dk) for grad in grads.rows for k, dk in grad)
+    if packs_densely(nonzeros, unknowns * len(grads.rows), blocks * width):
         modular = ModularRank(blocks * width)
-        for plan in plans:
+        for plan in map(plan_of, range(unknowns)):
             for grad in grads.packed:
                 image = 0
                 for k, pk in grad:
@@ -507,7 +508,7 @@ def _image_rank(
         if modular.dim == bound:
             return bound
     images = SpanBuilder()
-    for plan in plans:
+    for plan in map(plan_of, range(unknowns)):
         for grad in grads.rows:
             image: dict = {}
             for k, dk in grad:
@@ -612,13 +613,18 @@ def minimal_generator_degrees(W: LinearSeries) -> GeneratorDegrees:
 
 def _count_generators(W: LinearSeries) -> GeneratorDegrees:
     """The count of :func:`minimal_generator_degrees`: the rank of the
-    images of ``(u_i)`` is :func:`_image_rank` of layer t-1 with one plan
-    per unknown u_i, which puts ``d_k row`` in the block of the pair
-    (i, k) for each k > i and ``-d_k row`` in that of (k, i) for k < i.
-    Blocks number the pairs i < k in ``combinations`` order, the order of
-    ``i * n + k``, so the pivots follow the pairs first (a monomial-major
-    key gives the same rank after more eliminations).  Where A_{t-1} is
-    all of R_{t-1} (``W._gradients[t-1]`` is None) P_t is all of R_t.
+    images of ``(u_i)`` is :func:`_image_rank` of layer t-1 with the n
+    unknowns u_i.  The plan of u_i, made when u_i is reached, puts
+    ``d_k row`` in the block of the pair (i, k) for each k > i and
+    ``-d_k row`` in that of (k, i) for k < i, so one plan of n entries
+    is held at a time.  Blocks number the pairs i < k in lexicographic
+    order, the order of ``i * n + k``: (i, k) is block ``first[i] + k``
+    with ``first[i] = i*n - i*(i+3)/2 - 1``, so the pivots follow the
+    pairs first (a monomial-major key gives the same rank after more
+    eliminations).  Each partial ``d_k row`` goes into the n-1 images of
+    the unknowns other than u_k, each in its own block, so it weighs n-1
+    in the density test.  Where A_{t-1} is all of R_{t-1}
+    (``W._gradients[t-1]`` is None) P_t is all of R_t.
 
     Since P_t contains A_t, the rank is at most ``n * h(t-1) - h(t)``,
     and it reaches that bound exactly in the degrees with no new
@@ -627,25 +633,28 @@ def _count_generators(W: LinearSeries) -> GeneratorDegrees:
     workload at seed 1 the modular rank meets the bound in 62 of the 70
     degrees eliminated.
 
-    The plans go in turn, so the images go in variable-major: the
+    The unknowns go in turn, so the images go in variable-major: the
     unknown u_0 of every row, then u_1 of every row, and so on, where
     adding the n images of one row together meets the pivots of every
     pair at once.  The rank and the count do not depend on the order,
     but the work does: on the 36 dense random series of the bench's
     ``random_series`` workload at seed 3, in the 9 degrees the modular
     rank leaves to the exact span, row-major order takes 1317
-    ``linalg._eliminate`` steps over 19946 entries (of the vector and the
-    row each step combines) with a largest intermediate entry of 258
-    bits, and this order 1137 steps over 13727 entries with 142 bits
-    (with every degree eliminated exactly: 5643 steps, 341298 entries and
-    2433 bits against 5194, 255195 and 1652)."""
+    ``linalg._eliminate`` steps over 20014 entries (of the vector and of
+    the row's tail that each step combines, pivots not counted) with a
+    largest intermediate entry of 258 bits, and this order 1137 steps
+    over 13636 entries with 142 bits (with every degree eliminated
+    exactly: 5643 steps, 342115 entries and 2433 bits against 5194,
+    255878 and 1652)."""
     n = len(W.context)
     layers = W._layers
-    plans: list[dict] = [{} for _ in range(n)]
-    for j, (i, k) in enumerate(combinations(range(n), 2)):
-        plans[i][k] = (1, j)
-        plans[k][i] = (-1, j)
     grads = W._gradients
+    first = [i * n - i * (i + 3) // 2 - 1 for i in range(n)]
+
+    def plan_of(i: int) -> dict:
+        return {k: (1, first[i] + k) if k > i else (-1, first[k] + i) for k in range(n) if k != i}
+
+    weight = dict.fromkeys(range(n), n - 1)
     counts: dict[int, int] = {}
     for t in range(1, W.degree + 2):
         unknowns = n * len(layers[t - 1])
@@ -653,7 +662,9 @@ def _count_generators(W: LinearSeries) -> GeneratorDegrees:
         if grads[t - 1] is None:
             p_dim = math.comb(n + t - 1, t)
         else:
-            p_dim = unknowns - _image_rank(W, t - 1, plans, math.comb(n, 2), unknowns - h, False)
+            p_dim = unknowns - _image_rank(
+                grads[t - 1], plan_of, n, math.comb(n, 2), weight, unknowns - h, False
+            )
         if p_dim < h:
             raise InvariantError(
                 f"the degree-{t} prolongation of layer {t - 1} has dimension "

@@ -20,11 +20,13 @@ The dense side is only an adapter for callers of the public
 Row form: a vector is a sparse map from orderable keys to rationals.
 Layer rows use packed int keys (one ``int`` per exponent vector, see
 ``apolarity._Keys``) whose order equals the exponent-tuple order.  The
-prolongation and kernel-of-derivative vectors made from them use column
-keys ``b * width + j``: column j numbers the monomials of a layer's
-partials in that order (``apolarity._Gradients``), and b is a block,
-so keys sort block-major and then by monomial.  Annihilator and colon
-rows use exponent tuples.  On entry a vector is
+prolongation and kernel-of-derivative vectors made from them
+(``apolarity._image_rank``) use column keys ``b * width + j``: column j
+numbers the monomials of a layer's partials in that order
+(``apolarity._Gradients``), and b is a block (the number of a pair of
+variables i < k, in lexicographic order, for the generator count; 0
+for a kernel), so keys sort block-major and then by monomial.
+Annihilator and colon rows use exponent tuples.  On entry a vector is
 copied, its zeros dropped and its denominators cleared, each only when a
 C-level check finds the need (``0 in`` its values, and ``math.gcd`` of
 them, which raises ``TypeError`` on a ``Fraction``): every packed vector

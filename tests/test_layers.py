@@ -17,6 +17,7 @@ each piece with every variable.
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -180,6 +181,26 @@ def test_generator_degrees_of_a_linear_form_in_many_variables():
         parse_polynomial(" + ".join(f"x[{i}]" for i in range(1, 201)))
     )
     assert minimal_generator_degrees(W).counts == {1: 199, 2: 1}
+
+
+def test_generator_count_of_a_wide_sum_of_squares_holds_one_plan_at_a_time():
+    # x[1]^2 + ... + x[300]^2: the one layer that is not full, A_2, is one
+    # row with 300 partials, ranked under 300 unknowns.  A plan per
+    # unknown held for the whole count (89700 entries) made its traced
+    # peak 14.1 MiB; one plan of n entries at a time makes it 5.5 MiB
+    n = 300
+    W = LinearSeries.of_form(
+        parse_polynomial(" + ".join(f"x[{i}]^2" for i in range(1, n + 1)))
+    )
+    W._layers
+    tracemalloc.start()
+    try:
+        gd = minimal_generator_degrees(W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (gd.counts, gd.delta) == ({2: n * (n + 1) // 2 - 1}, 2)
+    assert peak < 9 * 2**20
 
 
 # ----------------------------------------------------------------------

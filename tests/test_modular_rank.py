@@ -13,6 +13,7 @@ import random
 from itertools import combinations
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -228,88 +229,186 @@ def test_certificate_route_equals_the_exact_route(case):
     assert exact_adds == 0
 
     # asked for one more than the exact rank, the certificate never holds:
-    # one that wrongly held would return that bound instead of the rank
+    # one that wrongly held would return that bound instead of the rank.
+    # The plans are built here from an independent numbering of the pairs;
+    # with the density test forced, the weights are not read.
     pair = {p: j for j, p in enumerate(combinations(range(n), 2))}
     plans = [
         {k: (1, pair[i, k]) if i < k else (-1, pair[k, i]) for k in range(n) if k != i}
         for i in range(n)
     ]
     plan = {m.index(1): (c, 0) for m, c in clear_denominators(D.terms).items()}
+    grads = W._gradients
     with mock.patch.object(apolarity, "packs_densely", lambda *a: True):
         for t in range(1, W.degree + 2):
             h = dims[t] if t <= W.degree else 0
             if dims[t - 1] != len(naive_monomials(n, t - 1)):
                 rank = n * dims[t - 1] - h - gd.counts.get(t, 0)
-                assert apolarity._image_rank(W, t - 1, plans, len(pair), rank + 1, False) == rank
+                assert apolarity._image_rank(
+                    grads[t - 1], plans.__getitem__, n, len(pair), {}, rank + 1, False
+                ) == rank
             if t <= W.degree and h != len(naive_monomials(n, t)):
                 rank = h - kernels[t]
-                assert apolarity._image_rank(W, t, [plan], 1, rank + 1, True) == rank
+                assert apolarity._image_rank(
+                    grads[t], lambda u: plan, 1, 1, {}, rank + 1, True
+                ) == rank
 
 
 # ----------------------------------------------------------------------
 # the fast path stays on for dense input
 
 
-def dense_series_file(tmp_path, seed):
-    """Three dense random quintics in 4 variables, as in the largest cell
-    of the bench's random series: each monomial present with probability
-    0.6, with a nonzero coefficient in [-9, 9]."""
+def dense_series_file(tmp_path, seed, n=4, d=5, k=3):
+    """k dense random forms of degree d in n variables, by default three
+    quintics in 4 variables as in the largest cell of the bench's random
+    series: each monomial present with probability 0.6, with a nonzero
+    coefficient in [-9, 9]."""
     rng = random.Random(seed)
-    ctx = VarContext(tuple(f"x[{i}]" for i in range(1, 5)))
+    ctx = VarContext(tuple(f"x[{i}]" for i in range(1, n + 1)))
     forms = []
-    for _ in range(3):
+    for _ in range(k):
         terms = {m: rng.choice([c for c in range(-9, 10) if c])
-                 for m in naive_monomials(4, 5) if rng.random() < 0.6}
+                 for m in naive_monomials(n, d) if rng.random() < 0.6}
         forms.append(format_polynomial(Polynomial(ctx, terms)))
-    path = tmp_path / "dense.txt"
+    path = tmp_path / f"dense_{n}_{d}_{k}_{seed}.txt"
     path.write_text("\n".join(forms) + "\n", encoding="utf-8")
     return path
 
 
-def test_dense_series_eliminates_exactly_only_where_generators_are_new(tmp_path, capsys):
-    path = dense_series_file(tmp_path, 11)
-    inside = []  # the function being run: "kernel" or the count's series
+# (nonzeros, vectors, slots, packs densely) of each density test that
+# `bounds --trials 2 --seed 1` makes: the count's degrees whose layer is
+# not full, then the kernels of each direction.  Each partial weighs n-1
+# in the count and 1/v in the kernel of a direction with v variables; a
+# kernel that summed the partials instead would send the families'
+# sparse kernels to the modular route.  Dense series are keyed by
+# (seed, n, d, k) as in dense_series_file.
+DENSITY_TESTS = {
+    "builtin:det:3": [
+        (288, 81, 324, False), (144, 9, 648, False),
+        (4, 9, 9, False), (2, 1, 18, False), (4, 9, 9, False), (2, 1, 18, False),
+    ],
+    "builtin:pf:4": [
+        (11340, 1960, 10584, False), (34020, 784, 79380, False),
+        (11340, 28, 158760, False),
+        (15, 70, 28, False), (45, 28, 210, False), (15, 1, 420, False),
+        (15, 70, 28, False), (45, 28, 210, False), (15, 1, 420, False),
+    ],
+    "builtin:symdet:3": [
+        (105, 36, 90, False), (60, 6, 180, False),
+        (3.5, 6, 6, False), (2, 1, 12, True), (3.5, 6, 6, False), (2, 1, 12, True),
+    ],
+    "builtin:monprod:4": [
+        (36, 24, 24, False), (36, 16, 36, False), (12, 4, 24, True),
+        (3, 6, 4, True), (3, 4, 6, True), (1, 1, 4, True),
+        (3, 6, 4, True), (3, 4, 6, True), (1, 1, 4, True),
+    ],
+    "builtin:matmul:2,2,2": [
+        (88, 96, 66, False), (176, 48, 528, False),
+        (2 / 3, 8, 1, False), (4 / 3, 4, 8, False),
+        (7 / 11, 8, 1, False), (14 / 11, 4, 8, False),
+    ],
+    (1, 3, 6, 2): [
+        (428, 36, 30, True), (312, 18, 45, True), (144, 6, 63, True),
+        (214 / 3, 12, 10, True), (52, 6, 15, True), (24, 2, 21, True),
+        (214 / 3, 12, 10, True), (52, 6, 15, True), (24, 2, 21, True),
+    ],
+    (3, 3, 5, 1): [
+        (142, 18, 18, True), (118, 9, 30, True), (58, 3, 42, True),
+        (71 / 3, 6, 6, True), (59 / 3, 3, 10, True), (29 / 3, 1, 14, True),
+        (71 / 3, 6, 6, True), (59 / 3, 3, 10, True), (29 / 3, 1, 14, True),
+    ],
+}
+
+
+@pytest.mark.parametrize("form", DENSITY_TESTS, ids=str)
+def test_density_tests_route_the_spans_as_pinned(form, tmp_path):
+    expected = DENSITY_TESTS[form]
+    if isinstance(form, tuple):
+        seed, n, d, k = form
+        form = str(dense_series_file(tmp_path, seed, n=n, d=d, k=k))
+    calls = []
+    packs_densely = apolarity.packs_densely
+
+    def recorded(nonzeros, vectors, slots):
+        calls.append((nonzeros, vectors, slots, packs_densely(nonzeros, vectors, slots)))
+        return calls[-1][-1]
+
+    with mock.patch.object(apolarity, "packs_densely", recorded):
+        assert cli.main(["bounds", "--form", form, "--trials", "2", "--seed", "1"]) == 0
+    assert calls == [(pytest.approx(z), v, s, dense) for z, v, s, dense in expected]
+
+
+def exact_spans_of_bounds(path, capsys):
+    """Run ``bounds`` on a form file.  Returns the vectors the derivative
+    kernels add to an exact span, the degrees t whose generator count
+    adds an image to its exact span (t - 1 is the layer of the count's
+    rank call), and the counts."""
+    ranking = []  # "kernel", the count's series, or the degree it ranks
     kernel_adds = []
     count_degrees = set()
     counts = {}
     original_add = SpanBuilder.add
+    original_rank = apolarity._image_rank
     original_kernels = apolarity.derivative_kernel_dims
     original_count = apolarity._count_generators
 
     def add(self, vec):
-        if inside and inside[-1] == "kernel":
+        if ranking and ranking[-1] == "kernel":
             kernel_adds.append(vec)
-        elif inside:
-            W = inside[-1]
-            keys = W._keys
-            key = next(iter(vec))
-            m = key & ((1 << len(W.context) * keys.width) - 1)
-            count_degrees.add(sum(keys.unpack(m)) + 2)
+        elif ranking and isinstance(ranking[-1], int):
+            count_degrees.add(ranking[-1])
         return original_add(self, vec)
+
+    def image_rank(grads, *args):
+        W = ranking[-1] if ranking else None
+        if isinstance(W, LinearSeries):
+            ranking.append(next(s for s, g in enumerate(W._gradients) if g is grads) + 1)
+        try:
+            return original_rank(grads, *args)
+        finally:
+            if isinstance(W, LinearSeries):
+                ranking.pop()
 
     def kernels(W, partial):
         W._layers
-        inside.append("kernel")
+        ranking.append("kernel")
         try:
             return original_kernels(W, partial)
         finally:
-            inside.pop()
+            ranking.pop()
 
     def count(W):
         W._layers
-        inside.append(W)
+        ranking.append(W)
         try:
             gd = original_count(W)
         finally:
-            inside.pop()
+            ranking.pop()
         counts.update(gd.counts)
         return gd
 
     with mock.patch.object(SpanBuilder, "add", add), \
+            mock.patch.object(apolarity, "_image_rank", image_rank), \
             mock.patch("apolar.bounds.derivative_kernel_dims", kernels), \
             mock.patch.object(apolarity, "_count_generators", count):
         code = cli.main(["bounds", "--form", str(path), "--trials", "3", "--seed", "1"])
     assert code == 0, capsys.readouterr().err
+    return kernel_adds, count_degrees, counts
+
+
+def test_dense_series_eliminates_exactly_only_where_generators_are_new(tmp_path, capsys):
+    # three quintics in 4 variables: the certificate settles every span
+    kernel_adds, count_degrees, counts = exact_spans_of_bounds(
+        dense_series_file(tmp_path, 11), capsys
+    )
     assert counts
     assert kernel_adds == []
-    assert count_degrees <= set(counts)
+    assert count_degrees == set()
+    # two sextics in 3 variables: the count reaches its exact span at
+    # t = 5, a degree with new generators, and only there
+    kernel_adds, count_degrees, counts = exact_spans_of_bounds(
+        dense_series_file(tmp_path, 11, n=3, d=6, k=2), capsys
+    )
+    assert counts == {4: 3, 5: 6}
+    assert kernel_adds == []
+    assert count_degrees == {5}
