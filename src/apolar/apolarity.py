@@ -10,7 +10,11 @@ degree-t piece of its Macaulay inverse system, Diff(W)).  One closure
 the first partials of every row that enlarged it, each derivative
 d^beta of a series form once, by the variables the row contains.  The
 integer rows kept, grouped by derivative order, are bases of the
-layers.  Each row is keyed by packed monomials (:class:`_Keys`): one
+layers.  A layer that is all of the degree-t forms R_t is not built: it
+says nothing beyond its dimension ``C(n+t-1, t)``, and every layer
+below it is all of R_t too, since each partial maps R_t onto R_{t-1}.
+The closure ends at the first such order, and those layers are held as
+None.  Each row is keyed by packed monomials (:class:`_Keys`): one
 ``int`` per exponent vector, whose order is the tuple order, so pivots
 and bases are those of tuple keys while hashing, comparing and
 differentiating a key costs a few machine words, not n entries.
@@ -27,8 +31,9 @@ Everything is read off the layers:
   monomials is the degree-(s-e) piece of the colon ``I : theta``; at
   theta = 1 it is the annihilator piece I_s, the orthogonal complement
   of A_s.  Above the series degree the layer is zero, so the kernel is
-  every monomial.  These rows and kernels are keyed by exponent tuples
-  (the layer rows are unpacked as they are read);
+  every monomial; where A_s is all of R_s the kernel is zero.  These
+  rows and kernels are keyed by exponent tuples (the layer rows are
+  unpacked as they are read);
 * minimal generator counts come from two adjacent layers: degree t has
   ``dim P_t - h(t)`` new generators, where the prolongation
   ``P_t = {g : d_i g in A_{t-1} for all i}`` is the kernel of a map on
@@ -247,30 +252,33 @@ class LinearSeries:
         return _Keys(len(self.context), top)
 
     @cached_property
-    def _layers(self) -> tuple[list[dict], ...]:
-        """Derivative layers A_0, ..., A_d indexed by degree, each a basis
-        of independent integer rows keyed by :attr:`_keys`: the groups of
+    def _layers(self) -> tuple[list[dict] | None, ...]:
+        """Derivative layers A_0, ..., A_d indexed by degree: None where
+        A_t is all of R_t, otherwise a basis of independent integer rows
+        keyed by :attr:`_keys`.  The rows are the groups of
         :func:`_closure` started from the packed series, reversed, with
-        order k capped at ``dim R_{d-k}`` rows."""
+        order k capped at ``dim R_{d-k}`` rows; the closure ends at the
+        first order that reaches its cap, and that layer and every one
+        below it are None (A_0, the constants, always is)."""
         keys = self._keys
         n, d = len(self.context), self.degree
         tops = [keys.pack_row(f.terms) for f in self.reduced_basis]
         caps = tuple(math.comb(n + d - k - 1, d - k) for k in range(d + 1))
-        return tuple(reversed(_closure(tops, keys, caps)))
+        groups = _closure(tops, keys, caps)
+        return (None,) * (d + 1 - len(groups)) + tuple(reversed(groups))
 
     @cached_property
     def _gradients(self) -> tuple[_Gradients | None, ...]:
         """The :class:`_Gradients` of each layer A_t, made once per series
         and shared by the generator count and every derivative trial;
-        None where A_t is all of R_t (h(t) = C(n+t-1, t)), whose ranks
-        have closed forms.  Both callers read this before any
+        None where the layer is None (A_t is all of R_t), whose ranks
+        need no elimination.  Both callers read this before any
         elimination: partials made between the spans of two degrees
         would pin memory those spans free (11 MB more peak RSS on
         pf:5)."""
-        n, keys = len(self.context), self._keys
+        keys = self._keys
         return tuple(
-            None if len(layer) == math.comb(n + t - 1, t) else _Gradients(layer, keys)
-            for t, layer in enumerate(self._layers)
+            None if layer is None else _Gradients(layer, keys) for layer in self._layers
         )
 
     @cached_property
@@ -296,21 +304,24 @@ def _closure(
     degree d group k is a basis of A_{d-k}.
 
     ``caps[k]``, when given, is the dimension of the forms of the degree
-    of order k (homogeneous ``tops`` only): once order k has kept that
-    many rows it spans them all, every later candidate of that order
-    lies in the span, and trying them is skipped.  The rows kept, their
-    order and their entries are those of the uncapped loop.
+    of order k (homogeneous ``tops`` only).  An order that keeps that
+    many rows spans all of them, and so does every later order, since
+    each partial maps the forms of one degree onto those of the next
+    degree down.  The loop then ends and returns the orders before it:
+    the groups it returns are the first groups of the uncapped loop, in
+    the same rows, order and entries.
 
     Each row is kept divided by the gcd of its entries.  That changes no
     span, but without it the entries grow with each order: d^beta x^d
     carries d!/(d-|beta|)!, and the layers of ``x^100000`` would hold
     about d^2 log d bits."""
+    cap_of = dict(enumerate(caps)).get
     span = SpanBuilder()
     group = [(_primitive(row), (j, 0)) for j, row in enumerate(tops) if span.add(row)]
     groups = []
-    while group:
+    while group and len(group) != cap_of(len(groups)):
         groups.append([row for row, _ in group])
-        cap = caps[len(groups)] if len(groups) < len(caps) else None
+        cap = cap_of(len(groups))
         nxt = []
         for dv, key in _derivatives(group, keys):
             if span.add(dv):
@@ -393,11 +404,20 @@ def layer_bound(n: int, d: int, k: int, t: int) -> int:
 
 def hilbert_function(W: LinearSeries) -> tuple[int, ...]:
     """dims[t] = dim A_t, the degree-t derivative layer, t = 0..d (equal
-    to the rank of the degree-t catalecticant)."""
-    dims = tuple(len(layer) for layer in W._layers)
+    to the rank of the degree-t catalecticant): ``C(n+t-1, t)`` where
+    the layer is all of R_t (None), its number of rows otherwise.
+
+    The checks hold for every input.  For a single form they include
+    the Gorenstein symmetry ``h(t) = h(d-t)``, which sets the rows kept
+    in the top degrees against the dimensions of the full layers below
+    them, which are not built."""
     n = len(W.context)
     d = W.degree
     k = W.dim
+    dims = tuple(
+        math.comb(n + t - 1, t) if layer is None else len(layer)
+        for t, layer in enumerate(W._layers)
+    )
     if dims[0] != 1:
         raise InvariantError(f"Hilbert function starts with {dims[0]}, not 1")
     if dims[d] != k:
@@ -411,6 +431,12 @@ def hilbert_function(W: LinearSeries) -> tuple[int, ...]:
                 f"layer {t - 1} has dimension {dims[t - 1]}, more than the "
                 f"{n} * {dims[t]} partials of layer {t}"
             )
+    if k == 1 and dims != dims[::-1]:
+        t = next(t for t in range(d + 1) if dims[t] != dims[d - t])
+        raise InvariantError(
+            f"h({t}) = {dims[t]} but h({d - t}) = {dims[d - t]}: the Hilbert "
+            "function of a single form is symmetric"
+        )
     return dims
 
 
@@ -438,12 +464,11 @@ def derivative_kernel_dims(W: LinearSeries, partial: DualForm) -> list[int]:
     density test and the block counts as filled by their average (their
     sum would send the sparse kernels of the families to the modular
     route, packed at many slots per nonzero entry).  A_0 (the constants)
-    is killed whole.  For t >= 1 the rank of D on A_t needs no
-    elimination when A_t is all of R_t (``W._gradients[t]`` is None): D
-    maps R_t onto R_{t-1}, so the rank is C(n+t-2, t-1).  Otherwise the
-    rank is at most
+    is killed whole.  For t >= 1 the rank of D on A_t is at most
     ``r_t = min(h(t), h(t-1))``, since ``D(A_t)`` lies in A_{t-1}, and
-    adding images stops once it is reached.  On the bench's
+    adding images stops once it is reached.  Where A_t is all of R_t
+    (``W._gradients[t]`` is None) the rank is r_t with no elimination:
+    D maps R_t onto R_{t-1}, which is A_{t-1}.  On the bench's
     ``random_series`` workload at seed 1 the modular rank reaches r_t in
     all 210 of its kernels.
     """
@@ -451,19 +476,16 @@ def derivative_kernel_dims(W: LinearSeries, partial: DualForm) -> list[int]:
         raise ContextMismatchError("expected a DualForm over the series context")
     if not partial.is_linear_form():
         raise ValueError("derivative direction must be a nonzero linear dual form")
-    n = len(W.context)
     dims = hilbert_function(W)
     grads = W._gradients
     plan = {m.index(1): (c, 0) for m, c in clear_denominators(partial.terms).items()}
     weight = dict.fromkeys(plan, 1 / len(plan))
     out = [dims[0]]
     for t in range(1, len(dims)):
-        h = dims[t]
-        if grads[t] is None:
-            out.append(h - math.comb(n + t - 2, t - 1))
-        else:
-            rank = _image_rank(grads[t], lambda u: plan, 1, 1, weight, min(h, dims[t - 1]), True)
-            out.append(h - rank)
+        rank = min(dims[t], dims[t - 1])
+        if grads[t] is not None:
+            rank = _image_rank(grads[t], lambda u: plan, 1, 1, weight, rank, True)
+        out.append(dims[t] - rank)
     return out
 
 
@@ -542,9 +564,14 @@ def _colon(W: LinearSeries, theta_terms: dict, e: int, t: int) -> list[DualForm]
     column indices, so pivots are the first nonzero columns.
     """
     s = t + e
+    layer = W._layers[s] if s <= W.degree else []
+    if layer is None:
+        # A_s is all of R_s, so theta * psi = 0 for every psi in the
+        # kernel, and psi = 0
+        return []
     unpack = W._keys.unpack
     span = SpanBuilder()
-    for g in W._layers[s] if s <= W.degree else ():
+    for g in layer:
         row: dict[Monomial, Rational] = {}
         for mu, c in g.items():
             mu = unpack(mu)
@@ -623,8 +650,10 @@ def _count_generators(W: LinearSeries) -> GeneratorDegrees:
     pairs first (a monomial-major key gives the same rank after more
     eliminations).  Each partial ``d_k row`` goes into the n-1 images of
     the unknowns other than u_k, each in its own block, so it weighs n-1
-    in the density test.  Where A_{t-1} is all of R_{t-1}
-    (``W._gradients[t-1]`` is None) P_t is all of R_t.
+    in the density test.  Where A_{t-1} is all of R_{t-1} (its layer
+    and ``W._gradients[t-1]`` are None) P_t is all of R_t.  The values
+    h(t) are read from :func:`hilbert_function`, which checks them and
+    gives those of the layers that are None.
 
     Since P_t contains A_t, the rank is at most ``n * h(t-1) - h(t)``,
     and it reaches that bound exactly in the degrees with no new
@@ -647,7 +676,7 @@ def _count_generators(W: LinearSeries) -> GeneratorDegrees:
     exactly: 5643 steps, 342115 entries and 2433 bits against 5194,
     255878 and 1652)."""
     n = len(W.context)
-    layers = W._layers
+    dims = hilbert_function(W)
     grads = W._gradients
     first = [i * n - i * (i + 3) // 2 - 1 for i in range(n)]
 
@@ -657,8 +686,8 @@ def _count_generators(W: LinearSeries) -> GeneratorDegrees:
     weight = dict.fromkeys(range(n), n - 1)
     counts: dict[int, int] = {}
     for t in range(1, W.degree + 2):
-        unknowns = n * len(layers[t - 1])
-        h = len(layers[t]) if t <= W.degree else 0
+        unknowns = n * dims[t - 1]
+        h = dims[t] if t <= W.degree else 0
         if grads[t - 1] is None:
             p_dim = math.comb(n + t - 1, t)
         else:

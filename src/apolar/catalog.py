@@ -28,9 +28,9 @@ Pfaffian, the one product of ``monprod`` and the q products of each
 ``matmul`` entry.
 
 Each family is one record in ``_FAMILIES``, read by the spec checks,
-``check_size``, ``build``, ``canonical_partial_text`` and
-``closed_form_hilbert``; each reference table is one entry of
-``_TABLES``.
+``check_size``, ``variable_count``, ``build``, ``canonical_partial_text``
+and ``closed_form_hilbert``; each reference table is one entry of
+``_TABLES``, listed by ``table_families``.
 """
 
 from __future__ import annotations
@@ -351,6 +351,12 @@ def check_size(spec: FamilySpec, max_size: int, max_length: int) -> None:
         )
 
 
+def variable_count(spec: FamilySpec) -> int:
+    """The number of variables of the family's context, without building
+    it: the first factor of its size record."""
+    return next(iter(_FAMILIES[spec.family].size(*spec.params)))
+
+
 def build(spec: FamilySpec) -> LinearSeries:
     """Exact polynomial construction of a builtin family."""
     return LinearSeries.of_forms(_FAMILIES[spec.family].build(*spec.params))
@@ -426,6 +432,11 @@ _TABLES = {
         (LABEL_CR_UPPER, KIND_UPPER_CACTUS, lambda n: catalan(n + 1)),
     ),
 }
+
+
+def table_families() -> tuple[str, ...]:
+    """The families that have a reference bound table, in table order."""
+    return tuple(_TABLES)
 
 
 def closed_form_table(family: str, n_max: int) -> TableDoc:

@@ -123,9 +123,7 @@ def load_series(
             except catalog.NoClosedFormError:
                 pass  # perm: checked by its command once built
             else:
-                # the first factor of the record's size is the variable count
-                n = next(iter(catalog._FAMILIES[spec.family].size(*spec.params)))
-                _check_prolongation_size(src, n, dims)
+                _check_prolongation_size(src, catalog.variable_count(spec), dims)
         return catalog.build(spec), src, spec
     lines = [ln for _, ln in _read_lines(src)]
     if not lines:
@@ -512,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("table", help="reference bound tables")
-    p.add_argument("family", choices=tuple(catalog._TABLES))
+    p.add_argument("family", choices=catalog.table_families())
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument(
         "--mode",

@@ -553,9 +553,12 @@ import sys
 if __debug__:
     sys.exit("expected python -O")
 import apolar.apolarity as ap
-from apolar import InvariantError, LinearSeries, parse_polynomial
+from apolar import InvariantError, LinearSeries, parse_polynomial, parse_polynomial_list
 
+# true layer dimensions 1, 2, 2, 1, and 1, 3, 3, 2 (A_0 and A_1 of both
+# are all of R_0 and R_1, and held as None)
 W = LinearSeries.of_form(parse_polynomial("x^3 + x*y^2"))
+V = LinearSeries.of_forms(parse_polynomial_list(["x^3 + x*y^2", "z^3"]))
 true_layers = ap.LinearSeries._layers.func
 true_degrees = ap.minimal_generator_degrees
 true_keys = ap._Keys
@@ -567,9 +570,10 @@ def layers(*dims):
 
 
 def shrunk_layer_2(self):
-    # the true layer 2 without its last row
+    # the true layer 2 of V, 3x^2 + y^2, xy and z^2, without its first
+    # row: h is 1, 3, 2, 2, which passes every Hilbert function check
     a0, a1, a2, a3 = true_layers(self)
-    return (a0, a1, a2[:-1], a3)
+    return (a0, a1, a2[1:], a3)
 
 
 def one_bit_keys(n, top):
@@ -579,8 +583,8 @@ def one_bit_keys(n, top):
 
 def modular_count(W):
     # the modular route whatever the density: on the shrunk layer its rank
-    # (2) passes the bound (1) at the second image, so a count that
-    # stopped at its bound would miss the broken layer
+    # (5) passes the bound (4) at the fifth of its six images, so a count
+    # that stopped at its bound would miss the broken layer
     ap.packs_densely = lambda nonzeros, vectors, slots: True
     return ap.minimal_generator_degrees(W)
 
@@ -590,26 +594,28 @@ def overcounted(W):
     return ap.GeneratorDegrees({t: k + 1 for t, k in gd.counts.items()}, gd.delta)
 
 
-# true layer dimensions: 1, 2, 2, 1
 series_cls = ap.LinearSeries
 cases = {
-    "hilbert_start": (series_cls, "_layers", layers(0, 2, 2, 1), ap.hilbert_function),
-    "hilbert_cap": (series_cls, "_layers", layers(1, 3, 2, 1), ap.hilbert_function),
-    "layer_top": (series_cls, "_layers", layers(1, 2, 2, 2), ap.hilbert_function),
-    "layer_growth": (series_cls, "_layers", layers(1, 0, 2, 1), ap.hilbert_function),
+    "hilbert_start": (series_cls, "_layers", layers(0, 2, 2, 1), ap.hilbert_function, W),
+    "hilbert_cap": (series_cls, "_layers", layers(1, 3, 2, 1), ap.hilbert_function, W),
+    "layer_top": (series_cls, "_layers", layers(1, 2, 2, 2), ap.hilbert_function, W),
+    "layer_growth": (series_cls, "_layers", layers(1, 0, 2, 1), ap.hilbert_function, W),
+    "symmetry": (series_cls, "_layers", layers(1, 2, 1, 1), ap.hilbert_function, W),
     "generators": (
-        series_cls, "_layers", property(shrunk_layer_2), ap.minimal_generator_degrees
+        series_cls, "_layers", property(shrunk_layer_2), ap.minimal_generator_degrees, V
     ),
-    "modular_generators": (series_cls, "_layers", property(shrunk_layer_2), modular_count),
+    "modular_generators": (
+        series_cls, "_layers", property(shrunk_layer_2), modular_count, V
+    ),
     "generator_listing": (
-        ap, "minimal_generator_degrees", overcounted, ap.minimal_generators
+        ap, "minimal_generator_degrees", overcounted, ap.minimal_generators, W
     ),
-    "key_width": (ap, "_Keys", one_bit_keys, ap.hilbert_function),
+    "key_width": (ap, "_Keys", one_bit_keys, ap.hilbert_function, W),
 }
-owner, name, patched, fn = cases[sys.argv[1]]
+owner, name, patched, fn, series = cases[sys.argv[1]]
 setattr(owner, name, patched)
 try:
-    fn(W)
+    fn(series)
 except InvariantError as exc:
     print("caught:", exc)
 """
@@ -619,6 +625,7 @@ _EXPECTED_MESSAGE = {
     "hilbert_cap": "exceeds",
     "layer_top": "top layer",
     "layer_growth": "partials of layer",
+    "symmetry": "h(1) = 2 but h(2) = 1",
     "generators": "prolongation of layer 2",
     "modular_generators": "prolongation of layer 2",
     "generator_listing": "but the prolongation counts",
@@ -630,7 +637,7 @@ _EXPECTED_MESSAGE = {
     "case",
     [
         "hilbert_start", "hilbert_cap", "layer_top", "layer_growth", "generators",
-        "generator_listing", "key_width", "modular_generators",
+        "generator_listing", "key_width", "modular_generators", "symmetry",
     ],
 )
 def test_invariant_checks_survive_optimized_mode(case):

@@ -77,10 +77,12 @@ def test_family_error_messages(text, message):
 @pytest.mark.parametrize("family", list(catalog._FAMILIES))
 def test_every_family_record(family, size):
     """Each record builds, names a linear direction over its own context,
-    and its closed form (if any) is the computed Hilbert function."""
+    counts the variables of that context, and its closed form (if any) is
+    the computed Hilbert function."""
     arity = len(catalog._FAMILIES[family].params.split(","))
     spec = FamilySpec(family, (size,) * arity)
     W = build(spec)
+    assert catalog.variable_count(spec) == len(W.context)
     partial = canonical_partial(spec, W)
     assert partial.context == W.context and partial.is_linear_form()
     if family == "perm":

@@ -454,7 +454,7 @@ def test_count_size_from_the_closed_form_equals_the_size_from_the_layers(family,
     # the count size is a function of (n, h): load_series checks it with n
     # from the family record and the closed form, the commands with the
     # context and the layers
-    n = next(iter(catalog._FAMILIES[family].size(*spec.params)))
+    n = catalog.variable_count(spec)
     dims = catalog.closed_form_hilbert(spec)
     assert (n, dims) == (len(W.context), apolarity.hilbert_function(W))
     assert any(h != math.comb(n + s - 1, s) for s, h in enumerate(dims))

@@ -308,31 +308,72 @@ def count_calls(monkeypatch, owner, name, run):
     return out, len(calls)
 
 
-@pytest.mark.parametrize("family, adds, kept", [("monprod:6", 64, 64), ("det:4", 153, 70)])
+def built(layers):
+    """The layers that hold rows: those that are not all of R_t."""
+    return [layer for layer in layers if layer is not None]
+
+
+@pytest.mark.parametrize("family, adds, kept", [("monprod:6", 63, 57), ("det:4", 152, 53)])
 def test_layers_try_each_derivative_once(monkeypatch, family, adds, kept):
-    # the plain loop makes 193 and 321 adds: every path to a derivative;
-    # det:4 makes 179 without the stop at a full order (its A_1 is R_1)
+    # the plain loop makes 193 and 321 adds: every path to a derivative.
+    # Both end at A_1, which is all of R_1: the 6 and 16 rows that fill it
+    # are added, kept in no layer, and A_0 is not tried
     W = build(parse_family(family))
     assert W.dim == 1
     layers, calls = count_calls(monkeypatch, SpanBuilder, "add", lambda: W._layers)
-    assert (calls, sum(map(len, layers))) == (adds, kept)
+    assert (calls, sum(map(len, built(layers)))) == (adds, kept)
 
 
 def test_closure_stops_at_a_full_order_on_dense_quartics(monkeypatch):
-    # A_2 and A_1 are all of R_2 and R_1: once an order holds dim R_t
-    # rows, its remaining candidates are not tried
+    # A_2 is all of R_2: once that order holds its 10 rows the closure
+    # ends, and A_2, A_1 and A_0 are not built
     W = dense_series(4, 4)
     assert W.dim == 3
     layers, capped = count_calls(monkeypatch, SpanBuilder, "add", lambda: W._layers)
-    assert [len(layer) for layer in layers] == [1, 4, 10, 12, 3]
+    assert [None if layer is None else len(layer) for layer in layers] == [
+        None, None, None, 12, 3
+    ]
+    assert hilbert_function(W) == (1, 4, 10, 12, 3)
     keys = W._keys
     tops = [keys.pack_row(f.terms) for f in W.reduced_basis]
     groups, uncapped = count_calls(
         monkeypatch, SpanBuilder, "add", lambda: _closure(tops, keys)
     )
-    assert (capped, uncapped) == (30, 74)
-    assert groups == list(reversed(layers))
+    assert (capped, uncapped) == (25, 74)
+    assert groups[:2] == list(reversed(built(layers)))
     check_closure_rows(W.reduced_basis)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_series())
+def test_layers_are_the_first_closure_groups_and_none_below(W):
+    # the rows built are those of the uncapped closure, in the same rows
+    # and key order; every layer below them is all of R_t, as the
+    # uncapped closure finds
+    n, keys = len(W.context), W._keys
+    tops = [keys.pack_row(f.terms) for f in W.reduced_basis]
+    groups = _closure(tops, keys)
+    layers = W._layers
+    rows = built(layers)
+    assert [[list(r.items()) for r in layer] for layer in rows] == [
+        [list(r.items()) for r in group] for group in reversed(groups[: len(rows)])
+    ]
+    dims = hilbert_function(W)
+    assert list(dims) == [len(group) for group in reversed(groups)]
+    for t, layer in enumerate(layers):
+        if layer is None:
+            assert dims[t] == math.comb(n + t - 1, t)
+            assert all(lower is None for lower in layers[:t])
+
+
+def test_hilbert_function_of_a_full_top_layer_adds_only_the_top(monkeypatch):
+    # every layer of x^5000 is all of R_t, the top one too: the closure
+    # adds x^5000 and ends, where building each layer takes 5001 adds
+    W = LinearSeries.of_form(parse_polynomial("x^5000"))
+    W.reduced_basis
+    dims, adds = count_calls(monkeypatch, SpanBuilder, "add", lambda: hilbert_function(W))
+    assert (dims, adds) == ((1,) * 5001, 1)
+    assert W._layers == (None,) * 5001
 
 
 def test_generator_count_of_a_dense_series_eliminates_at_most_its_pinned_steps(monkeypatch):
@@ -353,12 +394,16 @@ def test_generator_count_of_a_dense_series_eliminates_at_most_its_pinned_steps(m
 
 @pytest.mark.parametrize("form", ORACLE_FAMILIES + ("x^5000",))
 def test_every_layer_row_is_primitive(form):
-    # d^beta x^d carries d!/(d-|beta|)! unless divided out: the layers of
-    # x^5000 would hold about 5000^2 log 5000 bits
+    # d^beta x^d carries d!/(d-|beta|)! unless divided out: the closure of
+    # x^5000 would hold about 5000^2 log 5000 bits.  Its layers are all of
+    # R_t and hold no rows, so for it the rows of the uncapped closure,
+    # the ones diff_closure_dim counts, are walked
     if form.startswith("x"):
-        W = LinearSeries.of_form(parse_polynomial(form))
+        keys = _Keys(1, 5000)
+        layers = _closure([keys.pack_row({(5000,): 1})], keys)
+        assert len(layers) == 5001
     else:
-        W = build(parse_family(form))
-    for layer in W._layers:
+        layers = built(build(parse_family(form))._layers)
+    for layer in layers:
         for row in layer:
             assert math.gcd(*row.values()) == 1

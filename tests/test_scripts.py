@@ -27,3 +27,43 @@ def test_generic_vs_invariant_prints_the_gap():
     assert rows["matmul:2,2,2"][2] == "13/2"
     assert rows["matmul:2,2,2"][4] == "9"
     assert rows["matmul:2,2,2"][5] == "d_x[1,1] + d_y[1,1]"
+
+
+CODE_LINES_FIXTURE = '''"""Module docstring
+over two lines."""
+
+# a comment
+import os  # a trailing comment
+
+
+def f(x):
+    """One line."""
+    s = """a string, not
+a docstring"""
+    return x
+
+
+class C:
+    \'\'\'Class
+    docstring.\'\'\'
+
+    y = 1
+'''
+
+
+def test_code_lines_counts_code_but_not_docstrings_comments_or_blanks(tmp_path):
+    # import, def, the two lines of the string, return, class, y = 1
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("# only a comment\n\n", encoding="utf-8")
+    (package / "mod.py").write_text(CODE_LINES_FIXTURE, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "code_lines.py"), str(package)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split() for line in proc.stdout.splitlines()] == [
+        ["0", str(package / "__init__.py")],
+        ["7", str(package / "mod.py")],
+        ["7", "total"],
+    ]
