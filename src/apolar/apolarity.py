@@ -8,16 +8,17 @@ so A_t is the span of all (d-t)-th partial derivatives of W (the
 degree-t piece of its Macaulay inverse system, Diff(W)).  One closure
 (:func:`_closure`) builds them all: a single span takes the series and
 the first partials of every row that enlarged it, each derivative
-d^beta of a series form once, by the variables the row contains.  The
-integer rows kept, grouped by derivative order, are bases of the
-layers.  A layer that is all of the degree-t forms R_t is not built: it
-says nothing beyond its dimension ``C(n+t-1, t)``, and every layer
-below it is all of R_t too, since each partial maps R_t onto R_{t-1}.
-The closure ends at the first such order, and those layers are held as
-None.  Each row is keyed by packed monomials (:class:`_Keys`): one
-``int`` per exponent vector, whose order is the tuple order, so pivots
-and bases are those of tuple keys while hashing, comparing and
-differentiating a key costs a few machine words, not n entries.
+d^beta of a series form once.  The integer rows kept, grouped by
+derivative order, are bases of the layers.  A layer that is all of the
+degree-t forms R_t is not built: it says nothing beyond its dimension
+``C(n+t-1, t)``, and every layer below it is all of R_t too, since each
+partial maps R_t onto R_{t-1}.  The closure ends at the first such
+order, and those layers are held as None.  Each row is keyed by packed
+monomials (:class:`_Keys`): one ``int`` per exponent vector, whose
+order is the tuple order, so pivots and bases are those of tuple keys
+while hashing and comparing a key costs a few machine words, not n
+entries, and all first partials of a row come from one walk over its
+keys, a step per variable each key holds (:meth:`_Keys.gradient`).
 Everything is read off the layers:
 
 * the Hilbert function is ``dims[t] = dim A_t``, which is the rank of
@@ -54,9 +55,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import compress
-from operator import or_
 
 from .linalg import (
     PRIME,
@@ -108,7 +108,8 @@ class _Keys:
     tuple order, so the pivots of a span of packed rows are those of the
     same rows keyed by tuples.  Every row built from the layers keeps its
     exponents within those of the series (derivatives lower them), so
-    one width serves all of them."""
+    one width serves all of them.  :meth:`gradient` is the one place a
+    packed row is differentiated."""
 
     def __init__(self, n: int, top: int) -> None:
         self.n = n
@@ -137,23 +138,23 @@ class _Keys:
         mask = self.mask
         return tuple((key >> s) & mask for s in self.shifts)
 
-    def partial(self, row: dict, i: int) -> dict:
-        """d/dx_i of a packed row, like :func:`poly.partial_terms`."""
-        s = self.shifts[i]
-        one, mask = 1 << s, self.mask
-        return {m - one: c * e for m, c in row.items() if (e := (m >> s) & mask)}
-
-    def variables(self, row: dict) -> list[int]:
-        """Indices of the variables that occur in ``row``, ascending: the
-        only ones whose partial of it is not zero.  The keys are ORed and
-        the set fields walked from the top, one step per variable found."""
-        seen = reduce(or_, row, 0)
-        out = []
-        while seen:
-            i = self.n - 1 - (seen.bit_length() - 1) // self.width
-            out.append(i)
-            seen &= (1 << self.shifts[i]) - 1
-        return out
+    def gradient(self, row: dict) -> list[tuple[int, dict]]:
+        """``(i, d/dx_i row)`` for the variables i that occur in ``row``,
+        ascending: the only ones whose partial of it is not zero.  Each
+        key's set fields are walked once, from the top, and each partial
+        is built in the row's term order, entries as in
+        :func:`poly.partial_terms`."""
+        n, width, shifts = self.n, self.width, self.shifts
+        parts: dict[int, dict] = {}
+        for m, c in row.items():
+            rest = m
+            while rest:
+                i = n - 1 - (rest.bit_length() - 1) // width
+                one = 1 << shifts[i]
+                # the fields above i are cleared, so this shift is e_i
+                parts.setdefault(i, {})[m - one] = c * (rest >> shifts[i])
+                rest &= one - 1
+        return sorted(parts.items())
 
 
 class _Gradients:
@@ -162,14 +163,14 @@ class _Gradients:
     count and for every derivative kernel.  Each image sums some of a
     row's partials, each placed in a block, as the plan of one unknown
     says.  The monomials the partials contain are numbered once, in key
-    order, as ``width`` columns: ``rows[r]`` lists
-    ``(i, {column: coefficient})`` for the variables i that row r
-    contains (the other partials are zero), and :attr:`packed` the same
-    partials packed for :class:`linalg.ModularRank`, one slot per
-    column."""
+    order, as ``width`` columns: ``rows[r]`` is the
+    :meth:`_Keys.gradient` of row r, ``(i, {column: coefficient})`` for
+    the variables i it contains (the other partials are zero), and
+    :attr:`packed` the same partials packed for
+    :class:`linalg.ModularRank`, one slot per column."""
 
     def __init__(self, layer: list[dict], keys: _Keys) -> None:
-        rows = [[(i, keys.partial(row, i)) for i in keys.variables(row)] for row in layer]
+        rows = [keys.gradient(row) for row in layer]
         columns = sorted({m for grad in rows for _, dk in grad for m in dk})
         self.width = len(columns)
         column = dict(zip(columns, range(self.width)))
@@ -282,6 +283,38 @@ class LinearSeries:
         )
 
     @cached_property
+    def _hilbert(self) -> tuple[int, ...]:
+        """The Hilbert function, made and checked once per series: see
+        :func:`hilbert_function`."""
+        n = len(self.context)
+        d = self.degree
+        k = self.dim
+        dims = tuple(
+            math.comb(n + t - 1, t) if layer is None else len(layer)
+            for t, layer in enumerate(self._layers)
+        )
+        if dims[0] != 1:
+            raise InvariantError(f"Hilbert function starts with {dims[0]}, not 1")
+        if dims[d] != k:
+            raise InvariantError(f"top layer has dimension {dims[d]}, not dim W = {k}")
+        for t in range(d + 1):
+            cap = layer_bound(n, d, k, t)
+            if dims[t] > cap:
+                raise InvariantError(f"Hilbert function value {dims[t]} at t={t} exceeds {cap}")
+            if t and dims[t - 1] > n * dims[t]:
+                raise InvariantError(
+                    f"layer {t - 1} has dimension {dims[t - 1]}, more than the "
+                    f"{n} * {dims[t]} partials of layer {t}"
+                )
+        if k == 1 and dims != dims[::-1]:
+            t = next(t for t in range(d + 1) if dims[t] != dims[d - t])
+            raise InvariantError(
+                f"h({t}) = {dims[t]} but h({d - t}) = {dims[d - t]}: the Hilbert "
+                "function of a single form is symmetric"
+            )
+        return dims
+
+    @cached_property
     def _generator_degrees(self) -> GeneratorDegrees:
         return _count_generators(self)
 
@@ -293,9 +326,9 @@ def _closure(
     ``tops`` (rows keyed by ``keys``), grouped by derivative order.
 
     Each row kept is ``d^beta tops[j]`` for a multiset beta of variables,
-    held as ``(j, packed beta)``.  A row that enlarges the one span is
-    differentiated by the variables it contains; each ``(j, beta)`` of
-    the next order is tried once, because ``d^beta tops[j]`` does not
+    held as ``(j, packed beta)``.  The first partials of a row that
+    enlarges the one span are taken, and each ``(j, beta)`` of the next
+    order is added to the span once, because ``d^beta tops[j]`` does not
     depend on the order of differentiation, so a second path to it gives
     the same vector, already in the span.  beta stays within the
     exponents of ``tops[j]``, so it fits the same key fields.  The loop
@@ -340,15 +373,16 @@ def _primitive(row: dict) -> dict:
 
 def _derivatives(group: list, keys: _Keys):
     """The first partials ``(d_i row, (j, beta + e_i))`` of the rows of
-    one closure group, by the variables each row contains, each
-    ``(j, beta + e_i)`` once."""
+    one closure group, each ``(j, beta + e_i)`` once.  All partials of a
+    row come from one :meth:`_Keys.gradient`, so one reached again by
+    another path is made but not yielded."""
     tried = set()
     for row, (j, beta) in group:
-        for i in keys.variables(row):
+        for i, dv in keys.gradient(row):
             key = (j, beta + (1 << keys.shifts[i]))
             if key not in tried:
                 tried.add(key)
-                yield keys.partial(row, i), key
+                yield dv, key
 
 
 def differentiate_series(W: LinearSeries, theta: DualForm) -> LinearSeries | None:
@@ -410,34 +444,9 @@ def hilbert_function(W: LinearSeries) -> tuple[int, ...]:
     The checks hold for every input.  For a single form they include
     the Gorenstein symmetry ``h(t) = h(d-t)``, which sets the rows kept
     in the top degrees against the dimensions of the full layers below
-    them, which are not built."""
-    n = len(W.context)
-    d = W.degree
-    k = W.dim
-    dims = tuple(
-        math.comb(n + t - 1, t) if layer is None else len(layer)
-        for t, layer in enumerate(W._layers)
-    )
-    if dims[0] != 1:
-        raise InvariantError(f"Hilbert function starts with {dims[0]}, not 1")
-    if dims[d] != k:
-        raise InvariantError(f"top layer has dimension {dims[d]}, not dim W = {k}")
-    for t in range(d + 1):
-        cap = layer_bound(n, d, k, t)
-        if dims[t] > cap:
-            raise InvariantError(f"Hilbert function value {dims[t]} at t={t} exceeds {cap}")
-        if t and dims[t - 1] > n * dims[t]:
-            raise InvariantError(
-                f"layer {t - 1} has dimension {dims[t - 1]}, more than the "
-                f"{n} * {dims[t]} partials of layer {t}"
-            )
-    if k == 1 and dims != dims[::-1]:
-        t = next(t for t in range(d + 1) if dims[t] != dims[d - t])
-        raise InvariantError(
-            f"h({t}) = {dims[t]} but h({d - t}) = {dims[d - t]}: the Hilbert "
-            "function of a single form is symmetric"
-        )
-    return dims
+    them, which are not built.  The tuple is made and checked once per
+    series (``W._hilbert``)."""
+    return W._hilbert
 
 
 def apolar_length(W: LinearSeries) -> int:
@@ -795,8 +804,8 @@ def diff_closure_dim(f: Polynomial) -> int:
     """Dimension of the span of all iterated partials of f (f included).
 
     Works for non-homogeneous input: the number of rows :func:`_closure`
-    keeps from f, packed with its denominators cleared, taking each
-    derivative d^beta f once, by the variables it contains.
+    keeps from f, packed with its denominators cleared, adding each
+    derivative d^beta f to its span once.
     """
     if f.is_zero:
         raise ValueError("the derivative closure of zero is not defined")

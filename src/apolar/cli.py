@@ -104,15 +104,13 @@ def _read_lines(path: str) -> list[tuple[int, str]]:
     return [(i, ln) for i, ln in numbered if ln and not ln.startswith("#")]
 
 
-def load_series(
-    src: str, count: bool = False
-) -> tuple[LinearSeries, str, FamilySpec | None]:
-    """The series a ``--form`` argument names, the argument itself as its
-    id, and its family (None for a form file).  Over-limit input exits 2
-    before it is built.  With ``count``, so does a builtin with a
-    closed-form Hilbert function whose generator count would eliminate
-    more than MAX_PROLONGATION_SIZE unknowns; every series is checked by
-    its command, from its layers, once the arguments are
+def load_series(src: str, count: bool = False) -> tuple[LinearSeries, FamilySpec | None]:
+    """The series a ``--form`` argument names and its family (None for a
+    form file).  Over-limit input exits 2 before it is built.  With
+    ``count``, so does a builtin with a closed-form Hilbert function
+    whose generator count would eliminate more than
+    MAX_PROLONGATION_SIZE unknowns; every series is checked by its
+    command, from its layers, once the arguments are
     (:func:`_check_prolongation_size`)."""
     if src.startswith("builtin:"):
         spec = parse_family(src[len("builtin:") :])
@@ -124,7 +122,7 @@ def load_series(
                 pass  # perm: checked by its command once built
             else:
                 _check_prolongation_size(src, catalog.variable_count(spec), dims)
-        return catalog.build(spec), src, spec
+        return catalog.build(spec), spec
     lines = [ln for _, ln in _read_lines(src)]
     if not lines:
         raise CliError(f"error: form file {src!r} contains no polynomials", 1)
@@ -150,7 +148,7 @@ def load_series(
             f"{bound}, over the limit of {MAX_LENGTH_BOUND}",
             2,
         )
-    return W, src, None
+    return W, None
 
 
 # ----------------------------------------------------------------------
@@ -322,7 +320,7 @@ def _check_prolongation_size(form_id: str, n: int, dims: tuple[int, ...]) -> Non
 
 
 def cmd_bounds(args) -> str:
-    W, form_id, spec = load_series(args.form, count=True)
+    W, spec = load_series(args.form, count=True)
     if args.trials < 1:
         raise CliError("error: --trials must be at least 1", 2)
     _at_most("--trials", args.trials, MAX_TRIALS)
@@ -337,12 +335,12 @@ def cmd_bounds(args) -> str:
     assertion = InvarianceAssertion(
         args.assert_invariance, args.invariance_note or ""
     )
-    _check_prolongation_size(form_id, len(W.context), hilbert_function(W))
+    _check_prolongation_size(args.form, len(W.context), hilbert_function(W))
     # the Landsberg-Teitler bound is defined from n = 2 on (det:1 is x)
     det_n = spec.params[0] if spec and spec.family == "det" and spec.params[0] >= 2 else None
     report = bound_report(
         W,
-        form_id,
+        args.form,
         partial=partial,
         trials=args.trials,
         seed=args.seed,
@@ -370,24 +368,23 @@ def cmd_table(args) -> str:
 
 
 def cmd_hilbert(args) -> str:
-    W, form_id, _ = load_series(args.form)
-    dims = list(hilbert_function(W))
-    return render_hilbert(form_id, dims, args.format)
+    W, _ = load_series(args.form)
+    return render_hilbert(args.form, list(hilbert_function(W)), args.format)
 
 
 def cmd_apolar_gens(args) -> str:
-    W, form_id, _ = load_series(args.form, count=True)
+    W, _ = load_series(args.form, count=True)
     max_degree = args.max_degree if args.max_degree is not None else W.degree + 1
     if max_degree < 1:
         raise CliError("error: --max-degree must be at least 1", 2)
-    _check_prolongation_size(form_id, len(W.context), hilbert_function(W))
+    _check_prolongation_size(args.form, len(W.context), hilbert_function(W))
     gens = minimal_generators(W, max_degree)
     delta = minimal_generator_degrees(W).delta
-    return render_generators(form_id, gens, delta, args.format)
+    return render_generators(args.form, gens, delta, args.format)
 
 
 def cmd_verify_decomposition(args) -> str:
-    W, form_id, _ = load_series(args.form)
+    W, _ = load_series(args.form)
     if W.dim != 1:
         raise CliError(
             "error: decomposition verification needs a single form, "
@@ -448,7 +445,7 @@ def cmd_verify_decomposition(args) -> str:
         )
     return _emit(
         args.format,
-        {"form_id": form_id, "status": status, "summands": len(forms)},
+        {"form_id": args.form, "status": status, "summands": len(forms)},
         [["status", "summands"], [status, str(len(forms))]],
         text + "\n",
     )

@@ -463,7 +463,7 @@ def test_count_size_from_the_closed_form_equals_the_size_from_the_layers(family,
 def test_one_variable_degree_20000_is_under_the_length_bound(tmp_path):
     path = tmp_path / "power.txt"
     path.write_text("x^20000\n", encoding="utf-8")
-    W, _, _ = cli.load_series(str(path))
+    W, _ = cli.load_series(str(path))
     assert W.degree == 20000
 
 

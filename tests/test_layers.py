@@ -29,6 +29,7 @@ from apolar import (
     Polynomial,
     VarContext,
     apolar_ideal_component,
+    bound_report,
     catalecticant_matrix,
     closed_form_hilbert,
     dehomogenize,
@@ -229,16 +230,35 @@ def test_packing_preserves_order_and_round_trips(case, data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(packed_keys(), st.data())
-def test_packed_partial_and_variables_match_the_tuple_routes(case, data):
+@given(packed_keys())
+def test_packed_gradient_matches_the_tuple_routes(case):
     keys, _, row = case
-    packed = {keys.pack(m): c for m, c in row.items()}
-    i = data.draw(st.integers(0, keys.n - 1))
-    got = [(keys.unpack(m), c) for m, c in keys.partial(packed, i).items()]
-    assert got == list(partial_terms(row, i).items())
-    assert keys.variables(packed) == [
-        j for j in range(keys.n) if any(m[j] for m in row)
-    ]
+    grad = keys.gradient({keys.pack(m): c for m, c in row.items()})
+    # ascending, and exactly the variables that occur in the row
+    assert [i for i, _ in grad] == [j for j in range(keys.n) if any(m[j] for m in row)]
+    for i, dv in grad:
+        got = [(keys.unpack(m), c) for m, c in dv.items()]
+        assert got == list(partial_terms(row, i).items())
+
+
+def test_gradient_of_the_empty_row_is_empty():
+    assert _Keys(5, 3).gradient({}) == []
+
+
+def test_gradient_of_a_wide_sum_of_squares():
+    # sum_{i<300} x_i^2 + x_0 * x_299: d_0 is 2x_0 + x_299, d_299 is
+    # 2x_299 + x_0 and every other d_i is 2x_i
+    n = 300
+    keys = _Keys(n, 2)
+    unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    row = {keys.pack(tuple(2 * e for e in u)): 1 for u in unit}
+    row[keys.pack(tuple(a + b for a, b in zip(unit[0], unit[-1])))] = 1
+    grad = keys.gradient(row)
+    assert [i for i, _ in grad] == list(range(n))
+    want = {i: {unit[i]: 2} for i in range(n)}
+    want[0][unit[-1]] = 1
+    want[n - 1][unit[0]] = 1
+    assert {i: {keys.unpack(m): c for m, c in dv.items()} for i, dv in grad} == want
 
 
 def test_an_exponent_wider_than_the_key_field_is_an_invariant_error():
@@ -374,6 +394,17 @@ def test_hilbert_function_of_a_full_top_layer_adds_only_the_top(monkeypatch):
     dims, adds = count_calls(monkeypatch, SpanBuilder, "add", lambda: hilbert_function(W))
     assert (dims, adds) == ((1,) * 5001, 1)
     assert W._layers == (None,) * 5001
+
+
+def test_bound_report_checks_the_hilbert_function_once(monkeypatch):
+    # the report, the generator count and each of the 3 derivative trials
+    # read the Hilbert function; its d + 1 checked layer bounds are taken
+    # once per series (20 calls when each read rechecked them)
+    W = build(parse_family("det:3"))
+    _, calls = count_calls(
+        monkeypatch, apolarity, "layer_bound", lambda: bound_report(W, "det:3", trials=3)
+    )
+    assert calls == W.degree + 1 == 4
 
 
 def test_generator_count_of_a_dense_series_eliminates_at_most_its_pinned_steps(monkeypatch):

@@ -1,6 +1,8 @@
 """Smoke tests of the scripts under ``scripts/``, run as a user runs them."""
 
+import importlib.util
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -67,3 +69,31 @@ def test_code_lines_counts_code_but_not_docstrings_comments_or_blanks(tmp_path):
         ["7", str(package / "mod.py")],
         ["7", "total"],
     ]
+
+
+def test_compare_outputs_reports_a_changed_output_string(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "compare_outputs", ROOT / "scripts" / "compare_outputs.py"
+    )
+    compare_outputs = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the script is executed
+    monkeypatch.setitem(sys.modules, "compare_outputs", compare_outputs)
+    spec.loader.exec_module(compare_outputs)
+    changed = tmp_path / "changed"
+    shutil.copytree(ROOT / "src", changed / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    cli = changed / "src" / "apolar" / "cli.py"
+    text = cli.read_text(encoding="utf-8")
+    assert text.count("apolar length: ") == 1
+    cli.write_text(text.replace("apolar length: ", "apolar length = "), encoding="utf-8")
+    argvs = [
+        ("hilbert", "--form", "builtin:det:2"),
+        ("hilbert", "--form", "builtin:det:2", "--format", "json"),
+        ("bounds", "--form", "builtin:nosuch:2"),
+    ]
+    invs = [compare_outputs.cli(" ".join(argv), argv, tmp_path) for argv in argvs]
+    assert compare_outputs.compare(ROOT, ROOT, invs) == {}
+    report = compare_outputs.compare(ROOT, changed, invs)
+    assert list(report) == ["hilbert --form builtin:det:2"]
+    lines = report["hilbert --form builtin:det:2"]
+    assert lines[0] == "  stdout differs:"
+    assert "    -apolar length: 6" in lines and "    +apolar length = 6" in lines
