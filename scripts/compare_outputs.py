@@ -16,7 +16,13 @@ The invocations are:
 * ``table det|pf|symdet --n-max 5 --mode verify`` in each format;
 * ``apolar-gens --format json`` and ``bounds --seed 7 --format json`` on
   a few builtin families;
-* ``bounds builtin:det:3 --partial d[1,1]``.
+* ``bounds builtin:det:3 --partial d[1,1]``;
+* ``bounds --format json`` on the form files of ``FORM_FILES``: a
+  ternary cubic, and two forms with a high exponent, the second refused
+  by the a-priori length bound;
+* ``bernardi_ranestad_upper`` on ``det:4`` at the linear forms of
+  ``LIBRARY_BOUNDS``: a scaled coordinate, and a sum of two coordinates,
+  whose dehomogenization merges terms.
 
 The number compared and every difference are printed; the exit code is 1
 if any invocation differs, 0 otherwise.
@@ -43,8 +49,16 @@ TABLE_FAMILIES = ("det", "pf", "symdet")
 FORMATS = ("markdown", "csv", "json")
 FAMILIES = ("det:3", "pf:3", "perm:3", "minors:3,3,2", "monprod:5", "matmul:2,2,2")
 
-# the library job of bench/worker.py, reading the family and the variable
-# from its arguments
+FORM_FILES = {
+    "ternary.txt": "x^2*y + x^2*z - y*z^2\n",
+    "high.txt": "x^1000*y^3\n",
+    "too-high.txt": "x^2000*y^3\n",
+}
+# linear forms at which the library call bounds det:4
+LIBRARY_BOUNDS = ("3*x[4,4]", "x[1,1] + x[2,2]")
+
+# the library job of bench/worker.py, reading the family and the linear
+# form (a variable name, for the workload jobs) from its arguments
 LIBRARY_CALL = """
 import sys
 import apolar
@@ -54,7 +68,7 @@ import apolar.catalog
 family, at = sys.argv[1:]
 W = apolar.catalog.build(apolar.catalog.parse_family(family))
 F = W.reduced_basis[0]
-print(apolar.bounds.bernardi_ranestad_upper(F, apolar.Polynomial.named_variable(W.context, at)))
+print(apolar.bounds.bernardi_ranestad_upper(F, apolar.parse_polynomial(at, W.context)))
 """
 
 
@@ -71,9 +85,13 @@ def cli(label: str, argv, cwd: Path) -> Invocation:
     return Invocation(label, ("-m", "apolar", *argv), cwd)
 
 
+def library(label: str, family: str, at: str, cwd: Path) -> Invocation:
+    return Invocation(label, ("-c", LIBRARY_CALL, family, at), cwd)
+
+
 def invocations(workdir: Path) -> list[Invocation]:
     """The fixed invocation list; the input files of the workload jobs
-    are written under ``workdir``."""
+    and the form files are written under ``workdir``."""
     out = []
     for workload in workloads.WORKLOADS:
         for seed in SEEDS:
@@ -86,8 +104,7 @@ def invocations(workdir: Path) -> list[Invocation]:
                 if job.kind == "cli":
                     out.append(cli(label, job.argv, cwd))
                 elif job.kind == "library":
-                    args = ("-c", LIBRARY_CALL, job.family, job.extra["at"])
-                    out.append(Invocation(label, args, cwd))
+                    out.append(library(label, job.family, job.extra["at"], cwd))
                 else:
                     raise ValueError(f"{label}: unknown job kind {job.kind!r}")
     argvs = [
@@ -100,7 +117,12 @@ def invocations(workdir: Path) -> list[Invocation]:
         argvs.append(("apolar-gens", "--form", form, "--format", "json"))
         argvs.append(("bounds", "--form", form, "--seed", "7", "--format", "json"))
     argvs.append(("bounds", "--form", "builtin:det:3", "--partial", "d[1,1]"))
+    for name, text in FORM_FILES.items():
+        (workdir / name).write_text(text, encoding="utf-8")
+        argvs.append(("bounds", "--form", name, "--format", "json"))
     out.extend(cli(" ".join(argv), argv, workdir) for argv in argvs)
+    for at in LIBRARY_BOUNDS:
+        out.append(library(f"library bernardi_ranestad_upper det:4 at {at}", "det:4", at, workdir))
     return out
 
 

@@ -53,6 +53,7 @@ to callers who want it, but nothing here computes through it.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -265,7 +266,7 @@ class LinearSeries:
         n, d = len(self.context), self.degree
         tops = [keys.pack_row(f.terms) for f in self.reduced_basis]
         caps = tuple(math.comb(n + d - k - 1, d - k) for k in range(d + 1))
-        groups = _closure(tops, keys, caps)
+        groups = list(_closure(tops, keys, caps))
         return (None,) * (d + 1 - len(groups)) + tuple(reversed(groups))
 
     @cached_property
@@ -321,9 +322,12 @@ class LinearSeries:
 
 def _closure(
     tops: list[dict], keys: _Keys, caps: tuple[int, ...] = ()
-) -> list[list[dict]]:
+) -> Iterator[list[dict]]:
     """Independent integer rows spanning the derivative closure of
-    ``tops`` (rows keyed by ``keys``), grouped by derivative order.
+    ``tops`` (rows keyed by ``keys``), yielded one derivative order at a
+    time: the group of order k is yielded before the partials of its
+    rows are taken, and the loop then holds no earlier group, so a
+    caller that only counts rows holds one order at once.
 
     Each row kept is ``d^beta tops[j]`` for a multiset beta of variables,
     held as ``(j, packed beta)``.  The first partials of a row that
@@ -340,9 +344,9 @@ def _closure(
     of order k (homogeneous ``tops`` only).  An order that keeps that
     many rows spans all of them, and so does every later order, since
     each partial maps the forms of one degree onto those of the next
-    degree down.  The loop then ends and returns the orders before it:
-    the groups it returns are the first groups of the uncapped loop, in
-    the same rows, order and entries.
+    degree down.  The loop then ends, that order not yielded: the groups
+    it yields are the first groups of the uncapped loop, in the same
+    rows, order and entries.
 
     Each row is kept divided by the gcd of its entries.  That changes no
     span, but without it the entries grow with each order: d^beta x^d
@@ -351,10 +355,11 @@ def _closure(
     cap_of = dict(enumerate(caps)).get
     span = SpanBuilder()
     group = [(_primitive(row), (j, 0)) for j, row in enumerate(tops) if span.add(row)]
-    groups = []
-    while group and len(group) != cap_of(len(groups)):
-        groups.append([row for row, _ in group])
-        cap = cap_of(len(groups))
+    order = 0
+    while group and len(group) != cap_of(order):
+        yield [row for row, _ in group]
+        order += 1
+        cap = cap_of(order)
         nxt = []
         for dv, key in _derivatives(group, keys):
             if span.add(dv):
@@ -362,7 +367,6 @@ def _closure(
                 if len(nxt) == cap:
                     break
         group = nxt
-    return groups
 
 
 def _primitive(row: dict) -> dict:
@@ -434,6 +438,25 @@ def layer_bound(n: int, d: int, k: int, t: int) -> int:
     lies in the degree-t forms and is spanned by the (d-t)-th partials
     of the k forms."""
     return min(math.comb(n + t - 1, t), k * math.comb(n + d - t - 1, d - t))
+
+
+def length_bound(n: int, d: int, k: int) -> int:
+    """A-priori bound on the apolar length, the sum of
+    :func:`layer_bound` over t = 0..d, in closed form.  The first term
+    of the minimum grows with t and the second shrinks, so the minimum
+    is the second from the first t* where it is at most the first (d+1
+    if none; found by bisection) and the first before it.  By the
+    hockey-stick identity ``sum_{s<m} C(n+s-1, s) = C(n+m-1, n)`` the
+    sum is ``C(n+t*-1, n) + k * C(n+d-t*, n)``: O(log d) binomials, not
+    d + 1."""
+    lo, hi = 0, d + 1
+    while lo < hi:
+        t = (lo + hi) // 2
+        if math.comb(n + t - 1, t) >= k * math.comb(n + d - t - 1, d - t):
+            hi = t
+        else:
+            lo = t + 1
+    return math.comb(n + lo - 1, n) + k * math.comb(n + d - lo, n)
 
 
 def hilbert_function(W: LinearSeries) -> tuple[int, ...]:
@@ -811,3 +834,18 @@ def diff_closure_dim(f: Polynomial) -> int:
         raise ValueError("the derivative closure of zero is not defined")
     keys = _Keys(len(f.context), max(max(m, default=0) for m in f.terms))
     return sum(map(len, _closure([keys.pack_row(f.terms)], keys)))
+
+
+def coordinate_closure_dim(F: Polynomial, j: int, a: Rational) -> int:
+    """``diff_closure_dim(dehomogenize(F, a * x_j))`` for a nonzero
+    homogeneous F, with no polynomial built: F is packed once, and
+    setting ``x_j = 1/a`` clears field j of each key and scales its term
+    by ``a^(-e_j)``, e_j the exponent cleared.  No two terms meet, as F
+    is homogeneous (the other exponents fix e_j), so the row is F's
+    terms rekeyed, its denominators cleared.  The keys keep F's width,
+    and the closure counts its rows one order at a time."""
+    keys = _Keys(len(F.context), max(max(m) for m in F.terms))
+    clear = ~(keys.mask << keys.shifts[j])
+    a = Fraction(a)
+    row = {keys.pack(m) & clear: c / a ** m[j] for m, c in F.terms.items()}
+    return sum(map(len, _closure([clear_denominators(row)], keys)))

@@ -35,6 +35,7 @@ from fractions import Fraction
 from .apolarity import (
     LinearSeries,
     apolar_length,
+    coordinate_closure_dim,
     derivative_kernel_dims,
     diff_closure_dim,
     hilbert_function,
@@ -206,7 +207,18 @@ def generic_derivative_bound(W: LinearSeries, trials: int = 5, seed: int = 0) ->
 
 def bernardi_ranestad_upper(F: Polynomial, l: Polynomial) -> int:
     """Cactus upper bound: derivative-closure dimension of a
-    dehomogenization of F at the linear form l."""
+    dehomogenization of F at the linear form l.
+
+    At a coordinate direction ``l = a * x_j``, the one every bound
+    report takes, a nonzero homogeneous F is dehomogenized on packed
+    keys (:func:`apolarity.coordinate_closure_dim`), with no
+    ``Polynomial`` built.  Any other direction or form goes through
+    :func:`poly.dehomogenize` and :func:`apolarity.diff_closure_dim`,
+    which also raise on bad input; the two routes give the same value."""
+    if (isinstance(l, Polynomial) and l.is_linear_form() and len(l.terms) == 1
+            and l.context == F.context and F.is_homogeneous() and not F.is_zero):
+        [(m, a)] = l.terms.items()
+        return coordinate_closure_dim(F, m.index(1), a)
     return diff_closure_dim(dehomogenize(F, l))
 
 

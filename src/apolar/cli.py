@@ -31,7 +31,7 @@ from .apolarity import (
     LinearSeries,
     NoVariablesError,
     hilbert_function,
-    layer_bound,
+    length_bound,
     minimal_generator_degrees,
     minimal_generators,
 )
@@ -138,10 +138,7 @@ def load_series(src: str, count: bool = False) -> tuple[LinearSeries, FamilySpec
         raise CliError(f"error: form file {src!r} has no variables", 2) from exc
     except ValueError as exc:
         raise CliError(f"error: {src}: {exc}", 2) from exc
-    d = W.degree
-    terms = (layer_bound(len(W.context), d, W.dim, t) for t in range(d + 1))
-    # h(t) >= 1 for t = 0..d, so a degree past the limit needs no sum
-    bound = d + 1 if d >= MAX_LENGTH_BOUND else sum(terms)
+    bound = length_bound(len(W.context), W.degree, W.dim)
     if bound > MAX_LENGTH_BOUND:
         raise CliError(
             f"error: form file {src!r} is too large: its apolar length may reach "

@@ -33,9 +33,11 @@ them, which raises ``TypeError`` on a ``Fraction``): every packed vector
 is built integer, so it pays one ``dict`` copy and two passes in C, not
 a Python-level pass per entry.  Every stored row is a primitive
 integer vector (entries with gcd 1, positive pivot) whose pivot is its
-largest key.  A vector meeting a stored row at that row's pivot ``p`` is
-eliminated fraction-free, as in Bareiss's method: with
-``g = gcd(v[p], row[p])`` it becomes
+largest key, held as its pivot coefficient and two tuples, the keys and
+the coefficients of the rest of the row, not as a ``dict``: only the
+vector being eliminated is looked up by key.  A vector meeting a stored
+row at that row's pivot ``p`` is eliminated fraction-free, as in
+Bareiss's method: with ``g = gcd(v[p], row[p])`` it becomes
 ``v * (row[p]/g) - row * (v[p]/g)``, so entries stay integers, and its
 content is divided out before it is stored.
 
@@ -99,17 +101,18 @@ def clear_denominators(vec: Mapping) -> dict:
     return {k: c.numerator * (scale // c.denominator) for k, c in vec.items()}
 
 
-def _eliminate(v: dict, a: int, lead: int, tail: dict) -> tuple[dict, int]:
+def _eliminate(v: dict, a: int, lead: int, keys: tuple, values: tuple) -> tuple[dict, int]:
     """One fraction-free step: ``a`` is the coefficient just popped from
-    ``v`` at the pivot of the row ``(lead, tail)``.  Returns
-    ``v * (lead/g) - tail * (a/g)`` with ``g = gcd(a, lead)``, and the
-    factor ``lead/g`` that ``v`` was scaled by."""
+    ``v`` at the pivot of the row ``(lead, keys, values)``.  Returns
+    ``v * (lead/g) - tail * (a/g)`` with ``g = gcd(a, lead)``, the tail
+    being the row's ``values`` at its ``keys``, and the factor ``lead/g``
+    that ``v`` was scaled by."""
     g = math.gcd(a, lead)
     a //= g
     scale = lead // g
     if scale != 1:
         v = {k: c * scale for k, c in v.items()}
-    for k, c in tail.items():
+    for k, c in zip(keys, values):
         nv = v.get(k, 0) - a * c
         if nv:
             v[k] = nv
@@ -126,11 +129,18 @@ class SpanBuilder:
     matrices) to rational coefficients.  Rows are stored as primitive
     integer vectors, one per pivot, the pivot being the row's largest
     key; see the module docstring for the elimination step.
+
+    A stored row is ``(lead, keys, values)``: the pivot coefficient, and
+    the rest of the row as two tuples, its keys and their coefficients
+    in the order the eliminated vector held them.  An elimination step
+    only walks a row's tail, which two tuples hold in 16 to 20 bytes an
+    entry (CPython, 64-bit) against the 30 to 50 of a ``dict``; every
+    layer, image, kernel and closure span holds its rows this way.
     """
 
     def __init__(self) -> None:
-        # pivot key -> (pivot coefficient, the rest of the row)
-        self._rows: dict[object, tuple[int, dict[object, int]]] = {}
+        # pivot key -> (pivot coefficient, keys of the rest, its coefficients)
+        self._rows: dict[object, tuple[int, tuple, tuple]] = {}
 
     @property
     def dim(self) -> int:
@@ -167,8 +177,8 @@ class SpanBuilder:
         if v[p] < 0:
             g = -g
         lead = v.pop(p) // g
-        # ``v`` is this call's own copy, so a primitive one is stored as is
-        self._rows[p] = (lead, v if g == 1 else {k: c // g for k, c in v.items()})
+        values = v.values() if g == 1 else (c // g for c in v.values())
+        self._rows[p] = (lead, tuple(v), tuple(values))
         return True
 
     def reduced_rows(self) -> list[dict]:
@@ -178,22 +188,22 @@ class SpanBuilder:
         has Fraction coefficients elsewhere.  The basis depends only on
         the span, not on the order vectors were added.
         """
-        done: dict[object, tuple[int, dict[object, int]]] = {}
+        done: dict[object, tuple[int, tuple, tuple]] = {}
         for p in sorted(self._rows):
-            lead, tail = self._rows[p]
-            row = dict(tail)
+            lead, keys, values = self._rows[p]
+            row = dict(zip(keys, values))
             # stored rows only reach lower keys, and each reduced row is
             # zero at every pivot, so one pass over the pivots present
-            # in ``tail`` clears them all
-            for q in [k for k in tail if k in self._rows]:
+            # in ``keys`` clears them all
+            for q in [k for k in keys if k in self._rows]:
                 row, scale = _eliminate(row, row.pop(q), *done[q])
                 lead *= scale
             g = math.gcd(lead, *row.values())
-            done[p] = (lead // g, {k: c // g for k, c in row.items()})
+            done[p] = (lead // g, tuple(row), tuple(c // g for c in row.values()))
         out = []
         for p in sorted(done, reverse=True):
-            lead, tail = done[p]
-            out.append({p: Fraction(1), **{k: Fraction(c, lead) for k, c in tail.items()}})
+            lead, keys, values = done[p]
+            out.append({p: Fraction(1), **{k: Fraction(c, lead) for k, c in zip(keys, values)}})
         return out
 
     def kernel(self, keys: Iterable) -> Iterator[dict]:

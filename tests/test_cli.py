@@ -6,6 +6,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apolar import apolarity, catalog, cli
 from apolar.cli import build_parser, fmt_cell, main
@@ -304,8 +306,8 @@ def test_form_file_without_variables_exits_2(tmp_path, capsys, command):
         # the bound counts the independent forms: k=2 gives 1 + 2 + 3 + 2
         ("x^2*y\nx*y^2\n", 7, 8),
         ("x^2*y\n2*x^2*y\n", 5, 6),
-        # a degree at the limit is refused by h(t) >= 1 alone
-        ("x^2*y\n", 3, 4),
+        # a degree at the limit is refused with the whole bound, not d + 1
+        ("x^2*y\n", 3, 6),
     ],
 )
 def test_form_file_over_the_length_bound_exits_2(
@@ -320,6 +322,30 @@ def test_form_file_over_the_length_bound_exits_2(
         f"error: form file {str(path)!r} is too large: its apolar length may reach "
         f"{bound}, over the limit of {limit}\n"
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.integers(0, 60),
+    st.integers(1, 40) | st.integers(1, 10**6),
+)
+def test_length_bound_is_the_sum_of_the_layer_bounds(n, d, k):
+    # once k exceeds C(n+d-1, d) (one variable: every k > 1) the second
+    # term of the minimum is the larger at every degree, so the large
+    # draws sum C(n+t-1, t) alone
+    want = sum(apolarity.layer_bound(n, d, k, t) for t in range(d + 1))
+    assert apolarity.length_bound(n, d, k) == want
+    if k > math.comb(n + d - 1, d):
+        assert want == math.comb(n + d, d)
+
+
+def test_length_bound_of_one_variable_and_of_a_huge_degree():
+    assert apolarity.length_bound(1, 0, 1) == 1
+    assert apolarity.length_bound(1, 100000, 1) == 100001
+    # the sum would take 10^9 + 1 terms; the closed form takes about 30
+    # pairs of binomials
+    assert apolarity.length_bound(2, 10**9, 1) == (10**9 // 2 + 1) ** 2
 
 
 def test_form_file_at_the_length_bound_runs(tmp_path, monkeypatch, capsys):
@@ -933,6 +959,43 @@ def test_bounds_of_a_sum_of_1000_squares_runs_in_little_memory(tmp_path):
         "ranestad_schreyer": 501,
         "generic_derivative": 1000,
         "bernardi_ranestad_upper": 1001,
+    }
+
+
+def test_bounds_of_det_6_runs_in_less_memory(tmp_path):
+    # layer, count and closure spans hold each row's tail as two tuples,
+    # not a dict, and the Bernardi-Ranestad closure holds one derivative
+    # order at a time.  Bisected in whole MiB on a 2-CPU Linux host,
+    # CPython 3.11, this run needs an address-space cap of 87 MiB with
+    # dict rows and 64 MiB with tuple rows; the cap sits between them
+    resource = pytest.importorskip("resource")
+    import os
+
+    cap = 76 * 2**20
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "apolar", "bounds", "--form", "builtin:det:6",
+         "--trials", "1", "--format", "json"],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert proc.returncode == 0, proc.stderr[-500:]
+    doc = json.loads(proc.stdout)
+    assert {b["name"]: b["integer_value"] for b in doc["bounds"]} == {
+        "sylvester": 400,
+        "ranestad_schreyer": 462,
+        "generic_derivative": 400,
+        "landsberg_teitler_det": 420,
+        "bernardi_ranestad_upper": 922,
+    }
+    assert doc["brackets"] == {
+        "cactus_rank": {"lower": 462, "upper": 922},
+        "smoothable_rank": {"lower": 462, "upper": None},
+        "waring_rank": {"lower": 462, "upper": None},
     }
 
 

@@ -276,7 +276,7 @@ def check_closure_rows(forms):
     n = len(forms[0].context)
     tops = [clear_denominators(f.terms) for f in forms]
     keys = _Keys(n, max(max(m, default=0) for top in tops for m in top))
-    got = _closure([keys.pack_row(top) for top in tops], keys)
+    got = list(_closure([keys.pack_row(top) for top in tops], keys))
     want = reference_closure(tops, n)
     # the rows unpacked, key order too: later passes walk each row in
     # this order
@@ -357,7 +357,7 @@ def test_closure_stops_at_a_full_order_on_dense_quartics(monkeypatch):
     keys = W._keys
     tops = [keys.pack_row(f.terms) for f in W.reduced_basis]
     groups, uncapped = count_calls(
-        monkeypatch, SpanBuilder, "add", lambda: _closure(tops, keys)
+        monkeypatch, SpanBuilder, "add", lambda: list(_closure(tops, keys))
     )
     assert (capped, uncapped) == (25, 74)
     assert groups[:2] == list(reversed(built(layers)))
@@ -372,7 +372,7 @@ def test_layers_are_the_first_closure_groups_and_none_below(W):
     # uncapped closure finds
     n, keys = len(W.context), W._keys
     tops = [keys.pack_row(f.terms) for f in W.reduced_basis]
-    groups = _closure(tops, keys)
+    groups = list(_closure(tops, keys))
     layers = W._layers
     rows = built(layers)
     assert [[list(r.items()) for r in layer] for layer in rows] == [
@@ -431,7 +431,7 @@ def test_every_layer_row_is_primitive(form):
     # the ones diff_closure_dim counts, are walked
     if form.startswith("x"):
         keys = _Keys(1, 5000)
-        layers = _closure([keys.pack_row({(5000,): 1})], keys)
+        layers = list(_closure([keys.pack_row({(5000,): 1})], keys))
         assert len(layers) == 5001
     else:
         layers = built(build(parse_family(form))._layers)

@@ -181,7 +181,13 @@ def test_span_builder_stores_the_same_int_rows_from_int_and_fraction_input(rows)
             for b, (f, zeros) in zip(builders, cases)
         ]
         assert len(set(added)) == 1
-    stored = [[{p: lead, **tail} for p, (lead, tail) in b._rows.items()] for b in builders]
+    # a stored row is its pivot coefficient, the keys of the rest of the
+    # row and their coefficients
+    stored = [
+        [{p: lead, **dict(zip(keys, values, strict=True))}
+         for p, (lead, keys, values) in b._rows.items()]
+        for b in builders
+    ]
     assert all(s == stored[0] for s in stored)
     for row in (r for rows in stored for r in rows):
         assert all(type(x) is int for x in row.values())
