@@ -17,9 +17,13 @@ The invocations are:
 * ``apolar-gens --format json`` and ``bounds --seed 7 --format json`` on
   a few builtin families;
 * ``bounds builtin:det:3 --partial d[1,1]``;
-* ``bounds --format json`` on the form files of ``FORM_FILES``: a
-  ternary cubic, and two forms with a high exponent, the second refused
+* ``bounds --format json`` on the form files of ``FORM_FILES``: two
+  ternary cubics, and two forms with a high exponent, the second refused
   by the a-priori length bound;
+* ``apolar-gens --format json`` on the two ternary cubics of
+  ``GENS_FILES``; the second prints generators with fractional
+  coefficients (``-2/3``, ``-3/2``), kernel entries whose pivot
+  coefficient is not 1;
 * ``bernardi_ranestad_upper`` on ``det:4`` at the linear forms of
   ``LIBRARY_BOUNDS``: a scaled coordinate, and a sum of two coordinates,
   whose dehomogenization merges terms.
@@ -51,9 +55,11 @@ FAMILIES = ("det:3", "pf:3", "perm:3", "minors:3,3,2", "monprod:5", "matmul:2,2,
 
 FORM_FILES = {
     "ternary.txt": "x^2*y + x^2*z - y*z^2\n",
+    "fractional.txt": "x^3 + 2*x*y^2 + 3*y*z^2 - z^3\n",
     "high.txt": "x^1000*y^3\n",
     "too-high.txt": "x^2000*y^3\n",
 }
+GENS_FILES = ("ternary.txt", "fractional.txt")
 # linear forms at which the library call bounds det:4
 LIBRARY_BOUNDS = ("3*x[4,4]", "x[1,1] + x[2,2]")
 
@@ -120,6 +126,7 @@ def invocations(workdir: Path) -> list[Invocation]:
     for name, text in FORM_FILES.items():
         (workdir / name).write_text(text, encoding="utf-8")
         argvs.append(("bounds", "--form", name, "--format", "json"))
+    argvs.extend(("apolar-gens", "--form", name, "--format", "json") for name in GENS_FILES)
     out.extend(cli(" ".join(argv), argv, workdir) for argv in argvs)
     for at in LIBRARY_BOUNDS:
         out.append(library(f"library bernardi_ranestad_upper det:4 at {at}", "det:4", at, workdir))

@@ -140,9 +140,14 @@ def load_series(src: str, count: bool = False) -> tuple[LinearSeries, FamilySpec
         raise CliError(f"error: {src}: {exc}", 2) from exc
     bound = length_bound(len(W.context), W.degree, W.dim)
     if bound > MAX_LENGTH_BOUND:
+        try:
+            shown = str(bound)
+        except ValueError:  # more digits than the interpreter converts
+            # 10^m < 2^(bits-1) <= bound, as 0.301029995 < log10(2)
+            shown = f"more than 10^{(bound.bit_length() - 1) * 301029995 // 10**9}"
         raise CliError(
             f"error: form file {src!r} is too large: its apolar length may reach "
-            f"{bound}, over the limit of {MAX_LENGTH_BOUND}",
+            f"{shown}, over the limit of {MAX_LENGTH_BOUND}",
             2,
         )
     return W, None

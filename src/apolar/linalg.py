@@ -2,8 +2,8 @@
 
 Every Hilbert-function value computed in this package is the dimension
 of a derivative layer (a span of integer rows), every graded ideal piece
-is the orthogonal complement of one (:meth:`SpanBuilder.kernel`, read
-off the reduced echelon form), and every derivative closure or
+is the orthogonal complement of one (:meth:`SpanBuilder.kernel`, which
+back-substitutes the stored rows), and every derivative closure or
 generator count is the dimension of a growing span.  There is one
 exact engine, :class:`SpanBuilder`, so nothing is rounded, plus a
 certificate that can only confirm a known bound: :class:`ModularRank`
@@ -136,6 +136,10 @@ class SpanBuilder:
     only walks a row's tail, which two tuples hold in 16 to 20 bytes an
     entry (CPython, 64-bit) against the 30 to 50 of a ``dict``; every
     layer, image, kernel and closure span holds its rows this way.
+
+    The stored rows are the one echelon form: :meth:`add` eliminates
+    against them, and :meth:`kernel` back-substitutes them as it reads
+    the kernel off.
     """
 
     def __init__(self) -> None:
@@ -181,31 +185,6 @@ class SpanBuilder:
         self._rows[p] = (lead, tuple(v), tuple(values))
         return True
 
-    def reduced_rows(self) -> list[dict]:
-        """Reduced echelon basis of the span, largest pivot first.
-
-        Each row maps its pivot to 1, has 0 at every other pivot, and
-        has Fraction coefficients elsewhere.  The basis depends only on
-        the span, not on the order vectors were added.
-        """
-        done: dict[object, tuple[int, tuple, tuple]] = {}
-        for p in sorted(self._rows):
-            lead, keys, values = self._rows[p]
-            row = dict(zip(keys, values))
-            # stored rows only reach lower keys, and each reduced row is
-            # zero at every pivot, so one pass over the pivots present
-            # in ``keys`` clears them all
-            for q in [k for k in keys if k in self._rows]:
-                row, scale = _eliminate(row, row.pop(q), *done[q])
-                lead *= scale
-            g = math.gcd(lead, *row.values())
-            done[p] = (lead // g, tuple(row), tuple(c // g for c in row.values()))
-        out = []
-        for p in sorted(done, reverse=True):
-            lead, keys, values = done[p]
-            out.append({p: Fraction(1), **{k: Fraction(c, lead) for k, c in zip(keys, values)}})
-        return out
-
     def kernel(self, keys: Iterable) -> Iterator[dict]:
         """Basis of the vectors over ``keys`` whose dot product with every
         stored row is 0 (the kernel of the matrix these rows span).
@@ -216,16 +195,29 @@ class SpanBuilder:
         entries at the pivots, and nothing elsewhere.  Pivot terms come
         first, largest pivot first, then the free key.  This is the
         reduced-echelon kernel basis, so it depends only on the span.
+
+        The stored rows are back-substituted in ascending pivot order,
+        each against the rows already reduced: a stored row only reaches
+        lower keys, and each reduced row is zero at every other pivot,
+        so one pass over the pivots present in its keys clears them all.
         """
         entries = {k: [] for k in keys}
-        # reduced rows come largest pivot first, so each list of pivot
-        # entries is in descending pivot order
-        for row in self.reduced_rows():
-            it = iter(row.items())
-            p, _ = next(it)
+        done: dict[object, tuple[int, tuple, tuple]] = {}
+        for p in sorted(self._rows):
+            lead, row_keys, values = self._rows[p]
+            row = dict(zip(row_keys, values))
+            for q in [k for k in row_keys if k in self._rows]:
+                row, scale = _eliminate(row, row.pop(q), *done[q])
+                lead *= scale
+            g = math.gcd(lead, *row.values())
+            done[p] = (lead // g, tuple(row), tuple(c // g for c in row.values()))
             del entries[p]
-            for k, c in it:
-                entries[k].append((p, -c))
+        # largest pivot first, so each list of pivot entries is in
+        # descending pivot order
+        for p in reversed(done):
+            lead, row_keys, values = done[p]
+            for k, c in zip(row_keys, values):
+                entries[k].append((p, Fraction(-c, lead)))
         for k, pairs in entries.items():
             yield {**dict(pairs), k: Fraction(1)}
 

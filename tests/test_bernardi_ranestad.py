@@ -6,7 +6,11 @@ packed keys; these tests hold it to the general route
 (``dehomogenize`` then ``diff_closure_dim``), to the naive closure of
 ``tests/oracles.py`` with no ``dehomogenize`` reachable, and to the
 cactus ranks of monomials (Ranestad and Schreyer, J. Algebra 346 (2011))
-and of quadrics (the rank of their matrix).
+and of quadrics (the rank of their matrix).  Every bound of a report is
+also held to the Waring ranks of monomials and of sums of monomials in
+disjoint variables (Carlini, Catalisano and Geramita, J. Algebra 370
+(2012)), and to the cactus and Waring ranks of binary forms, read off a
+Hankel kernel computed with sympy.
 """
 
 import json
@@ -164,19 +168,21 @@ def test_bound_reports_never_dehomogenize_through_polynomials(tmp_path, capsys, 
 
 def check_ranks(W, cactus, waring):
     """Every bound of W's report on the right side of its ranks, and the
-    brackets around them."""
+    brackets around them.  A cactus rank of None is not known: the
+    cactus lower bounds are then held to the Waring rank above it."""
     report = bound_report(W, "form", trials=2)
     for b in report.bounds:
         if b.kind == KIND_LOWER_CACTUS:
-            assert b.value <= cactus, b.name
-        elif b.kind == KIND_UPPER_CACTUS:
+            assert b.value <= (waring if cactus is None else cactus), b.name
+        elif b.kind == KIND_UPPER_CACTUS and cactus is not None:
             assert b.value >= cactus, b.name
         elif b.kind == KIND_LOWER_WARING:
             assert b.value <= waring, b.name
     brackets = report.brackets()
-    lower, upper = brackets["cactus_rank"]["lower"], brackets["cactus_rank"]["upper"]
-    assert lower <= cactus and (upper is None or cactus <= upper)
-    assert brackets["waring_rank"]["lower"] <= waring
+    for rank, known in (("cactus_rank", cactus), ("waring_rank", waring)):
+        lower, upper = brackets[rank]["lower"], brackets[rank]["upper"]
+        if known is not None:
+            assert lower <= known and (upper is None or known <= upper), rank
     return report
 
 
@@ -221,3 +227,75 @@ def test_bounds_of_a_quadric_bracket_the_rank_of_its_matrix(upper):
             terms[m] = terms.get(m, 0) + M[i][k]
     r = naive_rank(M)
     check_ranks(LinearSeries.of_form(Polynomial(ctx, terms)), r, r)
+
+
+@st.composite
+def coprime_monomials(draw):
+    """Monomials of one degree d in disjoint sets of variables, each an
+    exponent list (a composition of d), with a nonzero coefficient."""
+    d = draw(st.integers(1, 5))
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        cuts = sorted(draw(st.sets(st.integers(1, d - 1), max_size=2))) if d > 1 else []
+        exponents = [b - a for a, b in zip([0, *cuts], [*cuts, d])]
+        out.append((exponents, draw(st.sampled_from([1, -1, 2, Fraction(1, 3)]))))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(coprime_monomials())
+def test_bounds_of_a_sum_of_coprime_monomials_stay_below_its_waring_rank(summands):
+    # the Waring rank of a sum of monomials in disjoint variables is the
+    # sum of theirs, prod_{i>0} (a_i + 1) with a_0 the smallest exponent
+    # (Carlini, Catalisano and Geramita, J. Algebra 370 (2012)); the
+    # cactus rank of the sum is not known in closed form
+    n = sum(len(exponents) for exponents, _ in summands)
+    ctx = VarContext(tuple(f"x[{i}]" for i in range(n)))
+    terms, start = {}, 0
+    for exponents, c in summands:
+        terms[(0,) * start + tuple(exponents) + (0,) * (n - start - len(exponents))] = c
+        start += len(exponents)
+    waring = sum(math.prod(e + 1 for e in sorted(a)[1:]) for a, _ in summands)
+    check_ranks(LinearSeries.of_form(Polynomial(ctx, terms)), None, waring)
+
+
+def binary_ranks(coeffs):
+    """Cactus and Waring rank of ``sum_i coeffs[i] x^(d-i) y^i``, from the
+    lower-degree generator g_1 of its annihilator, computed with sympy
+    alone.  ``d_x^(r-j) d_y^j`` sends ``x^(d-i) y^i`` to
+    ``(d-i)! i! / ((d-r-k)! k!)`` times ``x^(d-r-k) y^k``, k = i - j, so
+    with ``h_i = coeffs[i] (d-i)! i!`` the degree-r annihilator is the
+    kernel of the Hankel matrix ``(h_(k+j))``, k = 0..d-r, j = 0..r.  Its
+    first nonzero kernel, at r = deg g_1, gives the cactus rank r; the
+    Waring rank is r if g_1 is squarefree and d + 2 - r otherwise (Comas
+    and Seiguer, Found. Comput. Math. 11 (2011)).  At r = d + 2 - r the
+    kernel is a pencil, and both answers are r."""
+    sympy = pytest.importorskip("sympy")
+    d = len(coeffs) - 1
+    h = [c * math.factorial(d - i) * math.factorial(i) for i, c in enumerate(coeffs)]
+    r = next(
+        r for r in range(1, d + 2)
+        if (kernel := sympy.Matrix(d - r + 1, r + 1, lambda k, j: h[k + j]).nullspace())
+    )
+    x, y = sympy.symbols("x y")
+    g = sum(c * x ** (r - j) * y**j for j, c in enumerate(kernel[0]))
+    _, factors = sympy.Poly(g, x, y).sqf_list()
+    squarefree = all(m == 1 for _, m in factors)
+    return r, r if squarefree else d + 2 - r
+
+
+def test_binary_ranks_of_known_forms():
+    assert binary_ranks([0, 0, 1, 0, 0, 0]) == (3, 4)  # x^3 y^2
+    assert binary_ranks([0, 1, 0, 0]) == (2, 3)  # x^2 y
+    assert binary_ranks([1, 0, 0, 0, 1]) == (2, 2)  # x^4 + y^4
+    assert binary_ranks([1, 4, 6, 4, 1]) == (1, 1)  # (x + y)^4
+    assert binary_ranks([1, -3, 0, 0]) == (2, 3)  # x^2 (x - 3y), as x^2 y
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-2, 2), min_size=2, max_size=9).filter(any))
+def test_bounds_of_a_binary_form_bracket_its_ranks(coeffs):
+    d = len(coeffs) - 1
+    F = Polynomial(XY, {(d - i, i): c for i, c in enumerate(coeffs) if c})
+    cactus, waring = binary_ranks(coeffs)
+    check_ranks(LinearSeries.of_form(F), cactus, waring)

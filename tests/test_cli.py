@@ -366,6 +366,22 @@ def test_high_degree_form_file_exits_2_before_any_layer(tmp_path, capsys):
     assert "may reach 4004001, over the limit" in err
 
 
+def test_form_file_whose_bound_has_too_many_digits_to_print_exits_2(tmp_path, capsys):
+    # the bound of x[1]*...*x[20000] has 8291 digits, more than the
+    # interpreter converts to a string by default (4300): the message
+    # names a power of ten below it instead
+    path = tmp_path / "product.txt"
+    path.write_text("*".join(f"x[{i}]" for i in range(1, 20001)) + "\n", encoding="utf-8")
+    bound = apolarity.length_bound(20000, 20000, 1)
+    assert 10**8290 < bound < 10**8291
+    code, out, err = run_cli(capsys, "hilbert", "--form", str(path))
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: form file {str(path)!r} is too large: its apolar length may reach "
+        f"more than 10^8290, over the limit of {cli.MAX_LENGTH_BOUND}\n"
+    )
+
+
 @pytest.mark.parametrize("k, refused", [(500, False), (20000, True)])
 def test_form_file_of_many_variables_is_bounded_by_its_size(tmp_path, capsys, k, refused):
     # k lines x[i]*y: the a-priori length 2k + 2 passes, but the terms

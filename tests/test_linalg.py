@@ -196,20 +196,46 @@ def test_span_builder_stores_the_same_int_rows_from_int_and_fraction_input(rows)
 
 @settings(max_examples=60, deadline=None)
 @given(matrices())
-def test_reduced_rows_are_reduced_echelon_and_span_the_input(rows):
+def test_kernel_reads_a_reduced_echelon_form_that_spans_the_input(rows):
+    width = len(rows[0])
     builder = SpanBuilder()
     for row in rows:
         builder.add({i: x for i, x in enumerate(row) if x})
-    reduced = builder.reduced_rows()
-    pivots = [max(r) for r in reduced]
-    assert pivots == sorted(pivots, reverse=True)
+    pivots = sorted(builder._rows, reverse=True)
+    free = [k for k in range(width) if k not in builder._rows]
+    kernel = list(builder.kernel(range(width)))
+    assert len(kernel) == len(free) == width - naive_rank(rows)
+    for f, v in zip(free, kernel):
+        # pivot terms, largest pivot first, then the free key
+        assert list(v) == [p for p in pivots if p in v] + [f]
+        assert v[f] == Fraction(1)
+        assert all(type(x) is Fraction and x for x in v.values())
+    # the reduced echelon row at pivot p holds 1 at p, 0 at the other
+    # pivots and -v[p] at the free key of each kernel vector v
+    reduced = [
+        [Fraction(int(i == p)) for i in range(width)] for p in pivots
+    ]
     for r, p in zip(reduced, pivots):
-        assert r[p] == 1
-        assert all(r.get(q, 0) == 0 for q in pivots if q != p)
-        assert all(isinstance(x, Fraction) and x for x in r.values())
-    dense = [[r.get(i, 0) for i in range(len(rows[0]))] for r in reduced]
-    assert naive_rank(dense) == len(dense) == naive_rank(rows)
-    assert naive_rank(dense + rows) == naive_rank(rows)
+        for f, v in zip(free, kernel):
+            r[f] = -v.get(p, 0)
+    assert naive_rank(reduced) == len(reduced) == naive_rank(rows)
+    assert naive_rank(reduced + rows) == naive_rank(rows)
+
+
+def test_kernel_of_an_integer_matrix_whose_leads_are_not_one():
+    # reduced echelon form [[1, 0, -9/4, -1/4], [0, 1, 3/2, 1/2]]
+    rows = [[2, 3, 0, 1], [0, 4, 6, 2]]
+    assert kernel_basis(QMatrix.from_rows(rows)) == [
+        (Fraction(9, 4), Fraction(-3, 2), Fraction(1), Fraction(0)),
+        (Fraction(1, 4), Fraction(-1, 2), Fraction(0), Fraction(1)),
+    ]
+    builder = SpanBuilder()
+    for row in rows:
+        builder.add({-c: x for c, x in enumerate(row) if x})
+    assert [list(v.items()) for v in builder.kernel([0, -1, -2, -3])] == [
+        [(0, Fraction(9, 4)), (-1, Fraction(-3, 2)), (-2, Fraction(1))],
+        [(0, Fraction(1, 4)), (-1, Fraction(-1, 2)), (-3, Fraction(1))],
+    ]
 
 
 @settings(max_examples=60, deadline=None)
@@ -225,8 +251,10 @@ def test_span_kernel_is_the_orthogonal_complement(rows, rnd):
         shuffled.add({i: x for i, x in enumerate(row) if x})
     kernel = list(builder.kernel(keys))
     assert kernel == list(shuffled.kernel(keys))
-    free = [k for k in keys if not any(max(r) == k for r in builder.reduced_rows())]
+    free = [k for k in keys if k not in builder._rows]
     assert len(kernel) == len(free) == width - naive_rank(rows)
     for f, v in zip(free, kernel):
-        assert v[f] == 1 and all(v.get(g, 0) == 0 for g in free if g != f)
+        assert v[f] == Fraction(1) and all(g not in v for g in free if g != f)
+        assert all(type(x) is Fraction and x for k, x in v.items() if k != f)
+        assert all(k in builder._rows for k in v if k != f)
         assert all(sum(x * v.get(i, 0) for i, x in enumerate(row)) == 0 for row in rows)
