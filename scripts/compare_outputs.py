@@ -16,7 +16,9 @@ The invocations are:
 * ``table det|pf|symdet --n-max 5 --mode verify`` in each format;
 * ``apolar-gens --format json`` and ``bounds --seed 7 --format json`` on
   a few builtin families;
-* ``bounds builtin:det:3 --partial d[1,1]``;
+* ``bounds builtin:det:3 --partial d[1,1]``, alone and with a bare
+  ``--assert-invariance`` in markdown and csv (the json form is a
+  ``family_bounds`` job);
 * ``bounds --format json`` on the form files of ``FORM_FILES``: two
   ternary cubics, and two forms with a high exponent, the second refused
   by the a-priori length bound;
@@ -122,7 +124,9 @@ def invocations(workdir: Path) -> list[Invocation]:
         form = f"builtin:{family}"
         argvs.append(("apolar-gens", "--form", form, "--format", "json"))
         argvs.append(("bounds", "--form", form, "--seed", "7", "--format", "json"))
-    argvs.append(("bounds", "--form", "builtin:det:3", "--partial", "d[1,1]"))
+    det3 = ("bounds", "--form", "builtin:det:3", "--partial", "d[1,1]")
+    argvs.append(det3)
+    argvs.extend((*det3, "--assert-invariance", "--format", fmt) for fmt in FORMATS[:2])
     for name, text in FORM_FILES.items():
         (workdir / name).write_text(text, encoding="utf-8")
         argvs.append(("bounds", "--form", name, "--format", "json"))

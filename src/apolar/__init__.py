@@ -57,7 +57,6 @@ from .bounds import (
     BoundConsistencyError,
     BoundEntry,
     BoundReport,
-    InvarianceAssertion,
     bernardi_ranestad_upper,
     bound_report,
     derivative_bound,

@@ -9,9 +9,12 @@ Waring rank of its forms):
 * Derivative bound: apolar length of W minus apolar length of the
   derivative series DW, for a linear dual direction D.  Valid when D is
   generic, or for any D that lies in no proper subrepresentation when W
-  is invariant under a connected group action; the latter cannot be
-  checked here, so it is recorded as a caller assertion.  It is read
-  off W's cached layers without building DW, as the sum of the kernels
+  is invariant under a connected group action.  The latter cannot be
+  checked here: the caller claims it for a given D with one optional
+  string describing the action (``bound_report(..., invariance=...)``,
+  ``bounds --partial D --assert-invariance [NOTE]``), and the report
+  records the claim as unverified.  The bound is read off W's cached
+  layers without building DW, as the sum of the kernels
   ``apolarity.derivative_kernel_dims`` lists (the identity is stated
   there).
 
@@ -61,19 +64,6 @@ KIND_UPPER_WARING = "upper-for-waring"
 
 class BoundConsistencyError(RuntimeError):
     """A lower bound exceeded an upper bound: the implementation is wrong."""
-
-
-@dataclass(frozen=True)
-class InvarianceAssertion:
-    """Caller-supplied claim that the series is invariant under a connected
-    group action for which the chosen direction lies in no proper
-    subrepresentation.  Never verified here."""
-
-    asserted: bool
-    description: str = ""
-
-
-UNASSERTED = InvarianceAssertion(False)
 
 
 @dataclass(frozen=True)
@@ -246,18 +236,25 @@ def bound_report(
     partial: DualForm | None = None,
     trials: int = 5,
     seed: int = 0,
-    assertion: InvarianceAssertion = UNASSERTED,
+    invariance: str | None = None,
     det_n: int | None = None,
 ) -> BoundReport:
     """Run every applicable bound and assemble a consistent report.
 
-    With an explicit direction the derivative bound is reported under
-    the caller's invariance assertion; without one, the generic variant
-    runs with the given trial count and seed.  The determinant
-    closed-form row is included only when the caller identifies the form
-    as the n x n determinant.  A lower bound exceeding an upper bound in
-    the same report raises, since that would mean the code is wrong.
+    With an explicit direction the derivative bound is reported with
+    its caveat: ``invariance`` None makes no claim, and any string
+    (``""`` included) claims, unverified, that W is invariant under a
+    connected group for which the direction lies in no proper
+    subrepresentation, the string describing the action.  A claim needs
+    a direction, so ``invariance`` without ``partial`` raises
+    ValueError.  Without a direction the generic variant runs with the
+    given trial count and seed.  The determinant closed-form row is
+    included only when the caller identifies the form as the n x n
+    determinant.  A lower bound exceeding an upper bound in the same
+    report raises, since that would mean the code is wrong.
     """
+    if invariance is not None and partial is None:
+        raise ValueError("an invariance claim needs a direction (partial)")
     entries: list[BoundEntry] = []
 
     hf = hilbert_function(W)
@@ -284,10 +281,9 @@ def bound_report(
 
     if partial is not None:
         kernel_dims = derivative_kernel_dims(W, partial)
-        if assertion.asserted:
-            caveat = (
-                "valid as a cactus lower bound under the asserted invariance"
-                + (f": {assertion.description}" if assertion.description else "")
+        if invariance is not None:
+            caveat = "valid as a cactus lower bound under the asserted invariance" + (
+                f": {invariance}" if invariance else ""
             )
         else:
             caveat = (
@@ -301,7 +297,7 @@ def bound_report(
                 kind=KIND_LOWER_CACTUS,
                 metadata={
                     "partial": format_polynomial(partial),
-                    "invariance_asserted": assertion.asserted,
+                    "invariance_asserted": invariance is not None,
                     "caveat": caveat,
                     "kernel_dims": kernel_dims,
                 },

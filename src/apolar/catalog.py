@@ -109,10 +109,8 @@ def parse_family(text: str) -> FamilySpec:
 # contexts and generic expansion helpers
 
 
-def grid_context(rows: int, cols: int, base: str = "x") -> VarContext:
-    names = tuple(
-        f"{base}[{i},{j}]" for i in range(1, rows + 1) for j in range(1, cols + 1)
-    )
+def grid_context(rows: int, cols: int) -> VarContext:
+    names = tuple(f"x[{i},{j}]" for i in range(1, rows + 1) for j in range(1, cols + 1))
     return VarContext(names)
 
 
@@ -140,8 +138,8 @@ def _matrix_polynomial(
     )
 
 
-def build_determinant(n: int, ctx: VarContext | None = None) -> Polynomial:
-    ctx = ctx or grid_context(n, n)
+def build_determinant(n: int) -> Polynomial:
+    ctx = grid_context(n, n)
     return _matrix_polynomial(ctx, lambda i, j: ctx.position(f"x[{i+1},{j+1}]"), n, True)
 
 

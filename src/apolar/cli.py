@@ -35,7 +35,7 @@ from .apolarity import (
     minimal_generator_degrees,
     minimal_generators,
 )
-from .bounds import InvarianceAssertion, bound_report
+from .bounds import bound_report
 from .catalog import FamilySpec, TableDoc, closed_form_table, parse_family
 from .poly import (
     ParseError,
@@ -326,6 +326,8 @@ def cmd_bounds(args) -> str:
     if args.trials < 1:
         raise CliError("error: --trials must be at least 1", 2)
     _at_most("--trials", args.trials, MAX_TRIALS)
+    if args.assert_invariance is not None and args.partial is None:
+        raise CliError("error: --assert-invariance needs --partial", 2)
     partial = None
     if args.partial is not None:
         try:
@@ -334,9 +336,6 @@ def cmd_bounds(args) -> str:
             raise CliError(f"error: --partial: {exc}", 1) from exc
         if not partial.is_linear_form():
             raise CliError("error: --partial must be a nonzero linear dual form", 2)
-    assertion = InvarianceAssertion(
-        args.assert_invariance, args.invariance_note or ""
-    )
     _check_prolongation_size(args.form, len(W.context), hilbert_function(W))
     # the Landsberg-Teitler bound is defined from n = 2 on (det:1 is x)
     det_n = spec.params[0] if spec and spec.family == "det" and spec.params[0] >= 2 else None
@@ -346,7 +345,7 @@ def cmd_bounds(args) -> str:
         partial=partial,
         trials=args.trials,
         seed=args.seed,
-        assertion=assertion,
+        invariance=args.assert_invariance,
         det_n=det_n,
     )
     return render_bounds(report, args.format)
@@ -500,11 +499,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     p.add_argument(
         "--assert-invariance",
-        action="store_true",
-        help="record that the form is invariant and the direction lies in "
-        "no proper subrepresentation (never verified)",
+        nargs="?",
+        const="",
+        metavar="NOTE",
+        help="record that the form is invariant and the --partial direction "
+        "lies in no proper subrepresentation (never verified); NOTE "
+        "describes the action",
     )
-    p.add_argument("--invariance-note", help="free-text description of the action")
     _add_format(p)
     p.set_defaults(func=cmd_bounds)
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import apolar.apolarity
 from apolar import (
+    ContextMismatchError,
     DegreeRangeError,
     DualForm,
     LinearSeries,
@@ -35,7 +36,15 @@ from apolar import (
     quotient_length_with_linear,
     rank,
 )
-from apolar.catalog import build, build_determinant, parse_family
+from apolar.catalog import (
+    build,
+    build_determinant,
+    monomial_decomposition,
+    parse_family,
+    pfaffian_on,
+    skew_context,
+)
+from apolar.linalg import ModularRank
 from oracles import (
     brute_hilbert,
     coefficient_vector,
@@ -98,6 +107,84 @@ def test_series_reduced_basis_drops_dependent_forms():
     W = LinearSeries.of_forms([p("x", XY), p("y", XY), p("x + y", XY)])
     assert W.dim == 2
     assert W.reduced_basis == (p("x", XY), p("y", XY))
+
+
+_W = series("x^2*y", XY)
+_THETA = parse_dual_form("d", XY)
+_PRIMAL = p("x", XY)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: LinearSeries((), 1), ZeroSeriesError, "at least one form", id="no members"
+        ),
+        pytest.param(
+            lambda: LinearSeries((p("0", XY), p("0", XY)), 1),
+            ZeroSeriesError,
+            "all series members are zero",
+            id="all-zero members",
+        ),
+        pytest.param(
+            lambda: LinearSeries((p("x", XY), p("x", VarContext.of("x", "z"))), 1),
+            ContextMismatchError,
+            "different contexts",
+            id="two contexts",
+        ),
+        pytest.param(
+            lambda: LinearSeries((_THETA,), 1),
+            ContextMismatchError,
+            "primal polynomials",
+            id="dual member",
+        ),
+        pytest.param(
+            lambda: apolar_ideal_component(_W, -1),
+            DegreeRangeError,
+            "non-negative",
+            id="annihilator at degree -1",
+        ),
+        pytest.param(
+            lambda: colon_component(_W, _THETA, -1),
+            DegreeRangeError,
+            "non-negative",
+            id="colon at degree -1",
+        ),
+        pytest.param(
+            lambda: colon_component(_W, _PRIMAL, 1),
+            ContextMismatchError,
+            "DualForm",
+            id="colon by a polynomial",
+        ),
+        pytest.param(
+            lambda: differentiate_series(_W, _PRIMAL),
+            ContextMismatchError,
+            "DualForm",
+            id="derivative by a polynomial",
+        ),
+        pytest.param(
+            lambda: quotient_length_with_linear(_W, _PRIMAL),
+            ContextMismatchError,
+            "DualForm",
+            id="quotient by a polynomial",
+        ),
+        pytest.param(
+            lambda: ModularRank(1 << 32), ValueError, r"fewer than 2\^32", id="2^32 slots"
+        ),
+        pytest.param(
+            lambda: pfaffian_on(skew_context(2), (1, 2, 3)),
+            ValueError,
+            "even index set",
+            id="odd Pfaffian index set",
+        ),
+        pytest.param(
+            lambda: monomial_decomposition(0), ValueError, "need n >= 1", id="monprod:0 decomposition"
+        ),
+    ],
+)
+def test_library_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,6 @@ import pytest
 from apolar import (
     BoundConsistencyError,
     DualForm,
-    InvarianceAssertion,
     LinearSeries,
     Polynomial,
     VarContext,
@@ -245,7 +244,7 @@ def test_report_det2_entries():
         W,
         "builtin:det:2",
         partial=parse_dual_form("d[1,1]", W.context),
-        assertion=InvarianceAssertion(True, "left/right multiplication"),
+        invariance="left/right multiplication",
         det_n=2,
     )
     values = {b.name: b.value for b in report.bounds}
@@ -254,7 +253,12 @@ def test_report_det2_entries():
     assert values["derivative"] == 4
     assert values["landsberg_teitler_det"] == 4
     assert values["bernardi_ranestad_upper"] == 4
-    assert report.entry("derivative").metadata["invariance_asserted"] is True
+    derivative = report.entry("derivative").metadata
+    assert derivative["invariance_asserted"] is True
+    assert derivative["caveat"] == (
+        "valid as a cactus lower bound under the asserted invariance: "
+        "left/right multiplication"
+    )
 
 
 def test_report_generic_when_no_direction_given():
@@ -277,6 +281,23 @@ def test_report_unasserted_direction_carries_caveat():
     )
     caveat = report.entry("derivative").metadata["caveat"]
     assert "not asserted" in caveat
+    assert report.entry("derivative").metadata["invariance_asserted"] is False
+
+
+def test_report_empty_invariance_note_is_a_claim_without_description():
+    W = series("det:2")
+    report = bound_report(
+        W, "builtin:det:2", partial=parse_dual_form("d[1,1]", W.context), invariance=""
+    )
+    metadata = report.entry("derivative").metadata
+    assert metadata["invariance_asserted"] is True
+    assert metadata["caveat"] == "valid as a cactus lower bound under the asserted invariance"
+
+
+@pytest.mark.parametrize("invariance", ["", "GL2 x GL2"])
+def test_report_invariance_claim_without_direction_raises(invariance):
+    with pytest.raises(ValueError, match="needs a direction"):
+        bound_report(series("det:2"), "builtin:det:2", invariance=invariance)
 
 
 def test_report_brackets():
@@ -285,7 +306,7 @@ def test_report_brackets():
         W,
         "builtin:det:3",
         partial=parse_dual_form("d[1,1]", W.context),
-        assertion=InvarianceAssertion(True),
+        invariance="",
         det_n=3,
     )
     br = report.brackets()
@@ -306,7 +327,7 @@ def test_report_json_round_trip():
         W,
         "builtin:symdet:2",
         partial=parse_dual_form("d[2,2]", W.context),
-        assertion=InvarianceAssertion(True),
+        invariance="",
     )
     text = render_bounds(report, "json")
     assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text

@@ -151,6 +151,52 @@ def test_bounds_det3_with_invariant_direction(capsys):
     assert doc["brackets"]["cactus_rank"] == {"lower": 14, "upper": 18}
 
 
+@pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
+def test_bounds_det3_invariance_note_golden(capsys, fmt):
+    code, out, err = run_cli(
+        capsys,
+        "bounds",
+        "--form",
+        "builtin:det:3",
+        "--partial",
+        "d[1,1]",
+        "--assert-invariance",
+        "GL3 x GL3",
+        "--format",
+        fmt,
+    )
+    assert (code, err) == (0, "")
+    assert out == (DATA / f"det3_invariance_note.{fmt}").read_text(encoding="utf-8")
+    if fmt == "markdown":
+        assert (
+            "- derivative: caveat = valid as a cactus lower bound under the "
+            "asserted invariance: GL3 x GL3\n"
+        ) in out
+
+
+def test_bounds_invariance_claim_without_partial_is_refused_before_any_layer(
+    capsys, monkeypatch
+):
+    def closure(*args):
+        raise AssertionError("a layer was built")
+
+    monkeypatch.setattr(apolarity, "_closure", closure)
+    for note in ([], ["GL2 x GL2"]):
+        assert run_cli(
+            capsys, "bounds", "--form", "builtin:det:2", "--assert-invariance", *note
+        ) == (2, "", "error: --assert-invariance needs --partial\n")
+
+
+def test_bounds_has_no_separate_invariance_note_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(
+            ["bounds", "--form", "builtin:det:2", "--partial", "d[1,1]"]
+            + ["--invariance-note", "GL2 x GL2"]
+        )
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --invariance-note GL2 x GL2" in capsys.readouterr().err
+
+
 def test_bounds_generic_monprod4(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -216,6 +262,23 @@ def test_bounds_bad_partial_exits_1(capsys):
     )
     assert code == 1
     assert "d[9,9]" in err
+
+
+@pytest.mark.parametrize("partial", ["d[1,1]^2", "0"])
+def test_bounds_partial_that_is_not_a_nonzero_linear_form_exits_2(capsys, partial):
+    assert run_cli(
+        capsys, "bounds", "--form", "builtin:det:2", "--partial", partial
+    ) == (2, "", "error: --partial must be a nonzero linear dual form\n")
+
+
+def test_form_file_of_comments_only_exits_1(tmp_path, capsys):
+    path = tmp_path / "comments.txt"
+    path.write_text("# only\n# comments\n\n", encoding="utf-8")
+    assert run_cli(capsys, "hilbert", "--form", str(path)) == (
+        1,
+        "",
+        f"error: form file {str(path)!r} contains no polynomials\n",
+    )
 
 
 def test_bounds_zero_trials_exits_2(capsys):
@@ -796,6 +859,34 @@ def test_verify_decomposition_nonlinear_summand_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "linear" in err
+
+
+@pytest.mark.parametrize(
+    "forms, summands, code, message",
+    [
+        (
+            "x^2 + y^2\nx*y\n",
+            "1 ; x\n",
+            2,
+            "error: decomposition verification needs a single form, "
+            "got a series of dimension 2\n",
+        ),
+        (
+            "x^2 + y^2\n",
+            "1 ; x +\n",
+            1,
+            "error: {file}:1: line 1, column 5: expected a term, got 'end of input'\n",
+        ),
+        ("x^2 + y^2\n", "# nothing\n\n", 1, "error: {file}: no summands found\n"),
+    ],
+)
+def test_verify_decomposition_refusals(tmp_path, capsys, forms, summands, code, message):
+    form, path = tmp_path / "form.txt", tmp_path / "sums.dec"
+    form.write_text(forms, encoding="utf-8")
+    path.write_text(summands, encoding="utf-8")
+    assert run_cli(
+        capsys, "verify-decomposition", "--form", str(form), "--file", str(path)
+    ) == (code, "", message.format(file=path))
 
 
 @pytest.mark.parametrize("limit, refused", [(240, False), (239, True)])

@@ -40,9 +40,11 @@ def p(text, ctx=None):
 
 
 def test_parse_det2():
-    f = p("x[1,1]*x[2,2] - x[1,2]*x[2,1]")
-    assert f.context.names == ("x[1,1]", "x[2,2]", "x[1,2]", "x[2,1]")
-    assert f == build_determinant(2, f.context)
+    text = "x[1,1]*x[2,2] - x[1,2]*x[2,1]"
+    # with no context given, the variables are numbered as they appear
+    assert p(text).context.names == ("x[1,1]", "x[2,2]", "x[1,2]", "x[2,1]")
+    det2 = build_determinant(2)
+    assert p(text, det2.context) == det2
 
 
 def test_parse_zero():
