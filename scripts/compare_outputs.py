@@ -7,7 +7,7 @@ report every one whose stdout, stderr or exit code differs.
 Each root is a checkout whose ``src/`` holds the ``apolar`` package.
 Every invocation runs once per tree, in a fresh process that imports
 ``apolar`` from that tree's ``src/`` (no bytecode is written into it).
-The invocations are:
+The 140 invocations are:
 
 * every job of the three workloads of ``bench/workloads.py`` at seeds 1
   and 2, each (workload, seed) in its own temporary directory holding
@@ -18,10 +18,14 @@ The invocations are:
   a few builtin families;
 * ``bounds builtin:det:3 --partial d[1,1]``, alone and with a bare
   ``--assert-invariance`` in markdown and csv (the json form is a
-  ``family_bounds`` job);
+  ``family_bounds`` job), and with the direction spelled ``d [1 , 1]``;
 * ``bounds --format json`` on the form files of ``FORM_FILES``: two
-  ternary cubics, and two forms with a high exponent, the second refused
-  by the a-priori length bound;
+  ternary cubics, two forms with a high exponent, the second refused
+  by the a-priori length bound, and a binary quadric written with
+  blanks inside its factors, a zero-padded index, fractions and Arabic-
+  Indic digits (also run through ``hilbert``);
+* ``hilbert`` on ``bad-line.txt``, whose syntax error is on an indented
+  third line: the message names the line and column in the file;
 * ``apolar-gens --format json`` on the two ternary cubics of
   ``GENS_FILES``; the second prints generators with fractional
   coefficients (``-2/3``, ``-3/2``), kernel entries whose pivot
@@ -60,7 +64,9 @@ FORM_FILES = {
     "fractional.txt": "x^3 + 2*x*y^2 + 3*y*z^2 - z^3\n",
     "high.txt": "x^1000*y^3\n",
     "too-high.txt": "x^2000*y^3\n",
+    "variants.txt": "x [ 01 ] ^ 2 + 1/٣ * y^2 - 3/6*x[1]*y\n",
 }
+HILBERT_FILES = ("variants.txt", "bad-line.txt")
 GENS_FILES = ("ternary.txt", "fractional.txt")
 # linear forms at which the library call bounds det:4
 LIBRARY_BOUNDS = ("3*x[4,4]", "x[1,1] + x[2,2]")
@@ -127,9 +133,12 @@ def invocations(workdir: Path) -> list[Invocation]:
     det3 = ("bounds", "--form", "builtin:det:3", "--partial", "d[1,1]")
     argvs.append(det3)
     argvs.extend((*det3, "--assert-invariance", "--format", fmt) for fmt in FORMATS[:2])
+    argvs.append(("bounds", "--form", "builtin:det:3", "--partial", "d [1 , 1]"))
     for name, text in FORM_FILES.items():
         (workdir / name).write_text(text, encoding="utf-8")
         argvs.append(("bounds", "--form", name, "--format", "json"))
+    (workdir / "bad-line.txt").write_text("# a comment\nx^2 + y^2\n   x y\n", encoding="utf-8")
+    argvs.extend(("hilbert", "--form", name) for name in HILBERT_FILES)
     argvs.extend(("apolar-gens", "--form", name, "--format", "json") for name in GENS_FILES)
     out.extend(cli(" ".join(argv), argv, workdir) for argv in argvs)
     for at in LIBRARY_BOUNDS:

@@ -92,16 +92,16 @@ def fmt_cell(q: Rational) -> str:
 
 
 def _read_lines(path: str) -> list[tuple[int, str]]:
-    """The numbered, stripped lines of a UTF-8 file that are neither blank
-    nor ``#`` comments.  A file that cannot be opened or decoded exits 1,
-    named in the message."""
+    """The numbered lines of a UTF-8 file that are neither blank nor ``#``
+    comments, as they are in the file.  A file that cannot be opened or
+    decoded exits 1, named in the message."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"error: cannot read {path!r}: {exc}", 1) from exc
-    numbered = enumerate((raw.strip() for raw in text.splitlines()), start=1)
-    return [(i, ln) for i, ln in numbered if ln and not ln.startswith("#")]
+    numbered = enumerate(text.splitlines(), start=1)
+    return [(i, ln) for i, ln in numbered if ln.strip() and not ln.lstrip().startswith("#")]
 
 
 def load_series(src: str, count: bool = False) -> tuple[LinearSeries, FamilySpec | None]:
@@ -123,13 +123,23 @@ def load_series(src: str, count: bool = False) -> tuple[LinearSeries, FamilySpec
             else:
                 _check_prolongation_size(src, catalog.variable_count(spec), dims)
         return catalog.build(spec), spec
-    lines = [ln for _, ln in _read_lines(src)]
-    if not lines:
+    numbered = _read_lines(src)
+    if not numbered:
         raise CliError(f"error: form file {src!r} contains no polynomials", 1)
     try:
-        forms = parse_polynomial_list(lines, max_size=MAX_BUILD_SIZE)
-    except ParseError as exc:
-        raise CliError(f"error: {src}: {exc}", 1) from exc
+        forms = parse_polynomial_list([ln for _, ln in numbered], max_size=MAX_BUILD_SIZE)
+    except ParseError:
+        # each line parses on its own, so the first line that fails alone
+        # is the one that failed; a line holds no newline, so the error
+        # is on its line 1
+        for lineno, line in numbered:
+            try:
+                parse_polynomial_list([line])
+            except ParseError as exc:
+                raise CliError(
+                    f"error: {src}: line {lineno}, column {exc.col}: {exc.message}", 1
+                ) from exc
+        raise
     except ValueError as exc:
         raise CliError(f"error: form file {src!r} is too large: {exc}", 2) from exc
     try:
@@ -396,7 +406,7 @@ def cmd_verify_decomposition(args) -> str:
     coeffs: list[Rational] = []
     forms = []
     for lineno, line in _read_lines(args.file):
-        coeff_text, sep, form_text = line.partition(";")
+        coeff_text, sep, form_text = line.strip().partition(";")
         if not sep:
             raise CliError(
                 f"error: {args.file}:{lineno}: expected 'coeff ; linear-form'", 1

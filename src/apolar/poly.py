@@ -20,6 +20,12 @@ Integers (coefficients, exponents, indices) are decimal digits.  Any
 other text is a :class:`ParseError` naming its line and column.  Dual
 forms use the same grammar with names prefixed ``d``: ``d[1,2]``
 differentiates ``x[1,2]`` and ``d_y[1,2]`` differentiates ``y[1,2]``.
+
+Two routes read this grammar.  The term scanner reads well-formed text,
+one regex match per term, and resolves each distinct factor text
+(``x[01]^2`` to ``x[1]`` and 2) once per call.  Text it does not accept
+in full goes to the token parser, which raises every
+:class:`ParseError` and is the reference the scanner is tested against.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ class ParseError(PolyError):
 
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"line {line}, column {col}: {message}")
+        self.message = message
         self.line = line
         self.col = col
 
@@ -453,12 +460,124 @@ def format_polynomial(f: Polynomial) -> str:
 
 
 # ----------------------------------------------------------------------
-# parsing
+# parsing: the term scanner (``_Scanner``), then the token parser
+# (``_tokenize``, ``_Parser``) for the text the scanner does not accept
+
+# ``\s`` is what ``str.split()`` splits on, and ``\d`` what ``int``
+# accepts (Unicode decimal digits).  The pattern is linear by
+# construction: no two optional whitespace runs are adjacent, and every
+# repeated group starts with a literal, so a match that fails backtracks
+# over each character a bounded number of times.
+_FACTOR = rf"{_NAME}\s*(?:\[\s*\d+\s*(?:,\s*\d+\s*)*\]\s*)?(?:\^\s*\d+\s*)?"
+_FACTORS = rf"{_FACTOR}(?:\*\s*{_FACTOR})*"
+# groups: sign, numerator, denominator, the factors after a coefficient,
+# the factors of a term without one
+_TERM_RE = re.compile(
+    rf"\s*(?:([-+])\s*)?"
+    rf"(?:(\d+)\s*(?:/\s*(\d+)\s*)?(?:\*\s*({_FACTORS}))?|({_FACTORS}))"
+)
+_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
+
+
+class _Scanner:
+    """The term scanner of one parse call: ``terms(text)`` is the text's
+    term list ``[(coefficient, [factor key, ...]), ...]``, and
+    ``factors`` maps every factor key seen to its ``(name, exponent)``,
+    in order of first appearance.  A key is the factor's text, so
+    ``x[01]^2`` is resolved (to ``("x[1]", 2)``) once per call."""
+
+    def __init__(self, dual: bool, context: VarContext | None):
+        self.dual = dual
+        self.context = context
+        self.factors: dict = {}
+        self.coeffs: dict = {}
+
+    def terms(self, text: str) -> list:
+        raw = self._scan(text)
+        if raw is None:
+            # the token parser raises the ParseError; should it accept the
+            # text, its factors key themselves
+            raw = _Parser(text, self.dual, self.context).parse_terms()
+            for _, factors in raw:
+                for f in factors:
+                    self.factors.setdefault(f, f)
+        return raw
+
+    def _scan(self, text: str) -> list | None:
+        """The terms, or None when the text is not well formed in full."""
+        out = []
+        factors, coeffs = self.factors, self.coeffs
+        pos, end = 0, len(text)
+        while True:
+            m = _TERM_RE.match(text, pos)
+            if m is None:
+                return None
+            sign, num, den, after, alone = m.groups()
+            if out and sign is None:
+                return None
+            if num is None:
+                coeff, run = _MINUS_ONE if sign == "-" else _ONE, alone
+            else:
+                key = (sign, num, den)
+                coeff = coeffs.get(key)
+                if coeff is None:
+                    coeff = coeffs[key] = _coefficient(sign, num, den)
+                    if coeff is None:
+                        return None
+                run = after
+            keys = run.split("*") if run else []
+            for k in keys:
+                if k not in factors:
+                    resolved = self._resolve(k)
+                    if resolved is None:
+                        return None
+                    factors[k] = resolved
+            out.append((coeff, keys))
+            pos = m.end()
+            if pos == end:
+                return out
+
+    def _resolve(self, text: str) -> tuple[str, int] | None:
+        """``(canonical name, exponent)`` of a factor text the pattern
+        matched, or None for what the token parser refuses: a zero
+        exponent, an over-long numeral, a name that is no dual name or
+        not in the context."""
+        var, _, exp = "".join(text.split()).partition("^")
+        base, bracket, idx = var.partition("[")
+        try:
+            e = int(exp) if exp else 1
+            if bracket:
+                idx = f"[{','.join(str(int(i)) for i in idx[:-1].split(','))}]"
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            return None
+        if not e:
+            return None
+        if self.dual:
+            if base == "d":
+                base = "x"
+            elif base.startswith("d_") and _VAR_RE.match(base[2:]):
+                base = base[2:]
+            else:
+                return None
+        name = base + idx
+        if self.context is not None and name not in self.context:
+            return None
+        return name, e
+
+
+def _coefficient(sign: str | None, num: str, den: str | None) -> Rational | None:
+    try:
+        q = Fraction(int(num), int(den)) if den else Fraction(int(num))
+    except (ValueError, ZeroDivisionError):  # an over-long numeral, or n/0
+        return None
+    return -q if sign == "-" else q
+
 
 # one alternative per token kind; the last one is any character that
-# starts no token.  ``\d`` is what ``int`` accepts (Unicode decimal
-# digits, so ``²`` is not a number)
-_TOKEN_RE = re.compile(
+# starts no token (so ``²`` is not a number).  Only text the scanner
+# refuses is tokenized, so the pattern is compiled on that path, through
+# the cache of ``re``
+_TOKEN_PATTERN = (
     rf"(?P<NUM>\d+)|(?P<NAME>{_NAME})|(?P<SYM>[-+*/^\[\],])"
     r"|(?P<NL>\n)|(?P<WS>[^\S\n]+)|(?P<BAD>.)"
 )
@@ -469,7 +588,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
     a symbol's kind is the symbol itself."""
     toks = []
     line, line_start = 1, 0
-    for m in _TOKEN_RE.finditer(text):
+    for m in re.finditer(_TOKEN_PATTERN, text):
         kind, s, col = m.lastgroup, m.group(), m.start() - line_start + 1
         if kind == "NL":
             line, line_start = line + 1, m.end()
@@ -487,7 +606,6 @@ class _Parser:
         self.pos = 0
         self.dual = dual
         self.context = context
-        self.seen: dict[str, None] = {}
 
     def take(self, kind: str):
         """The next token if it has this kind (and consume it), else None."""
@@ -594,25 +712,29 @@ class _Parser:
             if name not in self.context:
                 shown = dual_name(name) if self.dual else name
                 self.error(f"unknown variable {shown!r}", tok)
-        else:
-            self.seen.setdefault(name)
         return name
 
 
-def _assemble(
-    cls: type,
-    raw: list[tuple[Rational, list[tuple[str, int]]]],
-    context: VarContext,
-):
-    terms: dict[Monomial, Rational] = {}
+def _assemble(cls: type, raws: list, context: VarContext, factors: dict) -> list:
+    """The polynomials of the term lists ``raws`` in ``context``; each
+    factor key's position is looked up once."""
+    at = {key: (context.position(name), e) for key, (name, e) in factors.items()}
     n = len(context)
-    for coeff, factors in raw:
-        mono = [0] * n
-        for name, exp in factors:
-            mono[context.position(name)] += exp
-        key = tuple(mono)
-        terms[key] = terms.get(key, 0) + coeff
-    return cls(context, terms)
+    out = []
+    for raw in raws:
+        terms: dict[Monomial, Rational] = {}
+        for coeff, keys in raw:
+            mono = [0] * n
+            for key in keys:
+                i, e = at[key]
+                mono[i] += e
+            mono = tuple(mono)
+            if mono in terms:
+                terms[mono] += coeff
+            else:
+                terms[mono] = coeff
+        out.append(cls(context, terms))
+    return out
 
 
 def parse_polynomial(text: str, context: VarContext | None = None) -> Polynomial:
@@ -632,26 +754,21 @@ def parse_polynomial_list(
     when the terms times the variables exceed ``max_size`` a
     ``ValueError`` is raised before any tuple is built.
     """
-    parsers = []
-    seen: dict[str, None] = {}
-    for text in texts:
-        p = _Parser(text, dual=False, context=context)
-        raw = p.parse_terms()
-        parsers.append(raw)
-        for name in p.seen:
-            seen.setdefault(name)
-    ctx = context if context is not None else VarContext(tuple(seen))
-    terms = sum(map(len, parsers))
+    scanner = _Scanner(dual=False, context=context)
+    raws = [scanner.terms(text) for text in texts]
+    ctx = context
+    if ctx is None:
+        ctx = VarContext(tuple(dict.fromkeys(name for name, _ in scanner.factors.values())))
+    terms = sum(map(len, raws))
     if max_size is not None and terms * len(ctx) > max_size:
         raise ValueError(
             f"{terms} terms times {len(ctx)} variables are over the size "
             f"limit of {max_size}"
         )
-    return [_assemble(Polynomial, raw, ctx) for raw in parsers]
+    return _assemble(Polynomial, raws, ctx, scanner.factors)
 
 
 def parse_dual_form(text: str, context: VarContext) -> DualForm:
     """Parse dual-form text (d-prefixed names) against a primal context."""
-    parser = _Parser(text, dual=True, context=context)
-    raw = parser.parse_terms()
-    return _assemble(DualForm, raw, context)
+    scanner = _Scanner(dual=True, context=context)
+    return _assemble(DualForm, [scanner.terms(text)], context, scanner.factors)[0]

@@ -326,6 +326,27 @@ def test_malformed_form_file_exits_1_with_position(tmp_path, capsys, text, col, 
 
 
 @pytest.mark.parametrize(
+    "text, line, col, message",
+    [
+        ("# header\n\nx^2 + y^2\nx*y\n2*x + 3*y^0\n", 5, 11,
+         "exponent must be a positive integer, got 0"),
+        ("x^2 + y^2\n   x y\n", 2, 6, "expected '+', '-' or end of input, got 'y'"),
+        ("x\n\t  x^2 +  \n", 2, 11, "expected a term, got 'end of input'"),
+        ("x\r\n y\r\n  z é\r\n", 3, 5, "unexpected character 'é'"),
+    ],
+    ids=["fifth-line", "indented", "trailing-blanks", "crlf"],
+)
+def test_form_file_error_names_its_line_and_column_in_the_file(
+    tmp_path, capsys, text, line, col, message
+):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert run_cli(capsys, "hilbert", "--form", str(path)) == (
+        1, "", f"error: {path}: line {line}, column {col}: {message}\n"
+    )
+
+
+@pytest.mark.parametrize(
     "kind, body", [("form", b"x\xff*y\n"), ("decomposition", b"1 ; x[1]\xff\n")]
 )
 def test_file_with_invalid_utf8_exits_1_naming_it(tmp_path, capsys, kind, body):

@@ -1,4 +1,5 @@
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from apolar import (
     substitute,
 )
 from apolar.catalog import build_determinant, grid_context
+from apolar.poly import _assemble, _Parser, _Scanner
 import math
 
 from oracles import naive_homogenize
@@ -225,6 +227,134 @@ def test_malformed_text_raises_only_parse_error(text):
             parse(text)
         except ParseError:
             pass
+
+
+# ----------------------------------------------------------------------
+# the term scanner against the token parser
+
+
+def token_route(text, ctx, dual):
+    """What the token parser alone makes of ``text``: the polynomial,
+    with the context inferred in order of first appearance when ctx is
+    None, or the ParseError as (message, line, column)."""
+    try:
+        raw = _Parser(text, dual, ctx).parse_terms()
+    except ParseError as exc:
+        return str(exc), exc.line, exc.col
+    factors = {f: f for _, fs in raw for f in fs}
+    if ctx is None:
+        ctx = VarContext(tuple(dict.fromkeys(name for name, _ in factors.values())))
+    return _assemble(DualForm if dual else Polynomial, [raw], ctx, factors)[0]
+
+
+def public_route(text, ctx, dual):
+    try:
+        return parse_dual_form(text, ctx) if dual else p(text, ctx)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.col
+
+
+_BLANK = st.sampled_from(["", "", "", " ", "  ", "\t", "\n", "\xa0", "\u2028", "\x1c"])
+# mostly small numerals, so that most drawn texts are well formed
+_NUMERAL = st.sampled_from(["1"] * 6 + ["2", "01", "0", "٣", "١", "12", "9" * 5000])
+_BASE = st.sampled_from(["x", "y", "d", "d_y", "d_x", "d_1", "z1", "_"])
+# spellings of the variables of GRID, and of their duals
+_GRID_VARS = (
+    st.sampled_from(["x[1,1]", "x [ 01 , ١ ]", "x[1,2]", "y[1]", "y[01]"]),
+    st.sampled_from(["d[1,1]", "d [ 1 , 02 ]", "d_y[1]", "d_y[ ١ ]", "d_x[1,2]"]),
+)
+
+
+@st.composite
+def grammar_texts(draw):
+    """Texts built from the grammar, with blanks between tokens.  Most
+    names spell a variable of GRID, all primal or all dual; the others, a
+    numeral of 0 or of 5000 digits, get some texts refused."""
+
+    def blank():
+        return draw(_BLANK)
+
+    grid_var = _GRID_VARS[draw(st.integers(0, 1))]
+
+    def factor():
+        if draw(st.integers(0, 3)):
+            out = draw(grid_var)
+        else:
+            out = draw(_BASE)
+            indices = draw(st.lists(_NUMERAL, max_size=3))
+            if indices:
+                sep = blank() + "," + blank()
+                out += blank() + "[" + blank() + sep.join(indices) + blank() + "]"
+        if draw(st.booleans()):
+            out += blank() + "^" + blank() + draw(_NUMERAL)
+        return out
+
+    def term():
+        if draw(st.booleans()):
+            head = draw(_NUMERAL)
+            if draw(st.booleans()):
+                head += blank() + "/" + blank() + draw(_NUMERAL)
+            tail = [factor() for _ in range(draw(st.integers(0, 3)))]
+        else:
+            head, tail = factor(), [factor() for _ in range(draw(st.integers(0, 2)))]
+        return head + "".join(blank() + "*" + blank() + f for f in tail)
+
+    text = blank() + draw(st.sampled_from(["", "+", "-"])) + blank() + term()
+    for _ in range(draw(st.integers(0, 3))):
+        text += blank() + draw(st.sampled_from(["+", "-"])) + blank() + term()
+    return text + blank()
+
+
+# pieces of the grammar and of the ways to break it, joined at random
+_PIECES = st.sampled_from(
+    ["x", "y", "d", "d_y", "x[01]", "x[1,1]", "d[1,1]", "y[1]", "1/٣*x^٢", "^0",
+     "3/0", "9" * 5000, "^", "*", "/", "+", "-", "[", "]", ",", "1", " ", "\n", "é"]
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(grammar_texts(), st.lists(_PIECES, max_size=8).map("".join)))
+@example("x [ 01 ] ^ 2 + 1/٣ * y^2 - 3/6*x[1]*y")
+@example("x^0")
+@example("d [1 , 1]")
+@example("d_y[01] + d[1,٢]")
+def test_scanner_agrees_with_the_token_parser(text):
+    for ctx, dual in ((None, False), (GRID, False), (GRID, True)):
+        expected = token_route(text, ctx, dual)
+        assert public_route(text, ctx, dual) == expected
+        # the scanner takes every text the token parser accepts, so no
+        # well-formed text pays for the token parser
+        accepted = _Scanner(dual, ctx)._scan(text) is not None
+        assert accepted == (not isinstance(expected, tuple))
+
+
+# (text, the token parser's message or None when it accepts); each text
+# is at least 10^5 characters
+HOSTILE_LINES = {
+    "star-run": ("x*" * 50000 + "!", "line 1, column 100001: unexpected character '!'"),
+    "blank-run": (
+        "x" + " " * 200000 + "y",
+        "line 1, column 200002: expected '+', '-' or end of input, got 'y'",
+    ),
+    "index-run": ("x[" + ",".join(["1"] * 50000) + "]", None),
+    "blank-denominator": ("1/" + " " * 100000 + "3*x", None),
+}
+
+
+@pytest.mark.parametrize("name", HOSTILE_LINES)
+def test_hostile_lines_parse_in_linear_time(name):
+    # each takes under 0.2 s on a 2-CPU host (scanner and token parser
+    # together on the refused ones); a pattern or loop quadratic in the
+    # length would take minutes at this size
+    text, message = HOSTILE_LINES[name]
+    start = time.perf_counter()
+    got = public_route(text, None, False)
+    assert time.perf_counter() - start < 2.0
+    assert got == token_route(text, None, False)
+    if message is None:
+        assert len(got.terms) == 1
+    else:
+        assert got[0] == message
 
 
 # ----------------------------------------------------------------------
