@@ -7,7 +7,7 @@ report every one whose stdout, stderr or exit code differs.
 Each root is a checkout whose ``src/`` holds the ``apolar`` package.
 Every invocation runs once per tree, in a fresh process that imports
 ``apolar`` from that tree's ``src/`` (no bytecode is written into it).
-The 140 invocations are:
+The 143 invocations are:
 
 * every job of the three workloads of ``bench/workloads.py`` at seeds 1
   and 2, each (workload, seed) in its own temporary directory holding
@@ -24,6 +24,12 @@ The 140 invocations are:
   by the a-priori length bound, and a binary quadric written with
   blanks inside its factors, a zero-padded index, fractions and Arabic-
   Indic digits (also run through ``hilbert``);
+* ``bounds --trials 1 --format json`` on ``wide.txt``, a sum of 300
+  squares: a wide count, and a random direction of 300 terms to format;
+* ``bounds --partial "d[1] + 2*d[2] - 3*d[3]" --format json`` on the
+  form files of ``PARTIAL_FILES``: one quartic, whose kernels are read
+  once per pair of degrees {t, d+1-t}, and a series of two quartics,
+  whose kernels are each computed;
 * ``hilbert`` on ``bad-line.txt``, whose syntax error is on an indented
   third line: the message names the line and column in the file;
 * ``apolar-gens --format json`` on the two ternary cubics of
@@ -66,6 +72,13 @@ FORM_FILES = {
     "too-high.txt": "x^2000*y^3\n",
     "variants.txt": "x [ 01 ] ^ 2 + 1/٣ * y^2 - 3/6*x[1]*y\n",
 }
+WIDE_FILE = " + ".join(f"x[{i}]^2" for i in range(1, 301)) + "\n"
+QUARTIC = "x[1]^3*x[2] + x[2]^2*x[3]^2 - 2*x[1]*x[3]^3 + x[1]^2*x[2]*x[3]\n"
+PARTIAL_FILES = {
+    "quartic.txt": QUARTIC,
+    "quartics.txt": QUARTIC + "x[1]^4 - x[2]*x[3]^3 + 3*x[1]*x[2]^2*x[3]\n",
+}
+PARTIAL = "d[1] + 2*d[2] - 3*d[3]"
 HILBERT_FILES = ("variants.txt", "bad-line.txt")
 GENS_FILES = ("ternary.txt", "fractional.txt")
 # linear forms at which the library call bounds det:4
@@ -137,6 +150,11 @@ def invocations(workdir: Path) -> list[Invocation]:
     for name, text in FORM_FILES.items():
         (workdir / name).write_text(text, encoding="utf-8")
         argvs.append(("bounds", "--form", name, "--format", "json"))
+    (workdir / "wide.txt").write_text(WIDE_FILE, encoding="utf-8")
+    argvs.append(("bounds", "--form", "wide.txt", "--trials", "1", "--format", "json"))
+    for name, text in PARTIAL_FILES.items():
+        (workdir / name).write_text(text, encoding="utf-8")
+        argvs.append(("bounds", "--form", name, "--partial", PARTIAL, "--format", "json"))
     (workdir / "bad-line.txt").write_text("# a comment\nx^2 + y^2\n   x y\n", encoding="utf-8")
     argvs.extend(("hilbert", "--form", name) for name in HILBERT_FILES)
     argvs.extend(("apolar-gens", "--form", name, "--format", "json") for name in GENS_FILES)

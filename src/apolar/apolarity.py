@@ -8,11 +8,12 @@ so A_t is the span of all (d-t)-th partial derivatives of W (the
 degree-t piece of its Macaulay inverse system, Diff(W)).  One closure
 (:func:`_closure`) builds them all: a single span takes the series and
 the first partials of every row that enlarged it, each derivative
-d^beta of a series form once.  The integer rows kept, grouped by
-derivative order, are bases of the layers.  A layer that is all of the
-degree-t forms R_t is not built: it says nothing beyond its dimension
-``C(n+t-1, t)``, and every layer below it is all of R_t too, since each
-partial maps R_t onto R_{t-1}.  The closure ends at the first such
+d^beta of a series form once, and none that equals a row just kept up
+to a factor.  The integer rows kept, grouped by derivative order, are
+bases of the layers.  A layer that is all of the degree-t forms R_t is
+not built: it says nothing beyond its dimension ``C(n+t-1, t)``, and
+every layer below it is all of R_t too, since each partial maps R_t
+onto R_{t-1}.  The closure ends at the first such
 order, and those layers are held as None.  Each row is keyed by packed
 monomials (:class:`_Keys`): one ``int`` per exponent vector, whose
 order is the tuple order, so pivots and bases are those of tuple keys
@@ -42,7 +43,9 @@ Everything is read off the layers:
   explicit generators (:func:`minimal_generators`) follow that count:
   only the degrees it lists are built;
 * derivative bounds come from the same layers, without building the
-  derivative series (see :func:`derivative_kernel_dims`).
+  derivative series, and for a single form from one rank per pair of
+  degrees {t, d+1-t}, its algebra being Gorenstein (see
+  :func:`derivative_kernel_dims`).
 
 So the work grows with the Hilbert function h(t), not with
 ``dim S_t = C(n+t-1, t)``, except where an answer itself holds one
@@ -56,8 +59,9 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import compress
+from operator import neg, or_
 
 from .linalg import (
     PRIME,
@@ -139,23 +143,41 @@ class _Keys:
         mask = self.mask
         return tuple((key >> s) & mask for s in self.shifts)
 
-    def gradient(self, row: dict) -> list[tuple[int, dict]]:
-        """``(i, d/dx_i row)`` for the variables i that occur in ``row``,
-        ascending: the only ones whose partial of it is not zero.  Each
-        key's set fields are walked once, from the top, and each partial
-        is built in the row's term order, entries as in
+    def variables(self, row: dict) -> list[int]:
+        """The variables that occur in ``row``, ascending: the set fields
+        of the bitwise or of its keys."""
+        n, width, shifts = self.n, self.width, self.shifts
+        rest = reduce(or_, row, 0)
+        out = []
+        while rest:
+            i = n - 1 - (rest.bit_length() - 1) // width
+            out.append(i)
+            rest &= (1 << shifts[i]) - 1
+        return out
+
+    def gradient(self, row: dict, wanted: list[int] | None = None) -> list[tuple[int, dict]]:
+        """``(i, d/dx_i row)`` for the variables i that occur in ``row``
+        (:meth:`variables`), or for those in ``wanted`` (ascending, each
+        occurring in ``row``): the partials that are not zero.  Each key
+        is masked to their fields, as d_i reads field i alone, and the
+        fields left are walked once, from the top; each partial is built
+        in the row's term order, entries as in
         :func:`poly.partial_terms`."""
         n, width, shifts = self.n, self.width, self.shifts
+        select = 0
         parts: dict[int, dict] = {}
+        for i in self.variables(row) if wanted is None else wanted:
+            select |= self.mask << shifts[i]
+            parts[i] = {}
         for m, c in row.items():
-            rest = m
+            rest = m & select
             while rest:
                 i = n - 1 - (rest.bit_length() - 1) // width
                 one = 1 << shifts[i]
                 # the fields above i are cleared, so this shift is e_i
-                parts.setdefault(i, {})[m - one] = c * (rest >> shifts[i])
+                parts[i][m - one] = c * (rest >> shifts[i])
                 rest &= one - 1
-        return sorted(parts.items())
+        return list(parts.items())
 
 
 class _Gradients:
@@ -166,9 +188,10 @@ class _Gradients:
     says.  The monomials the partials contain are numbered once, in key
     order, as ``width`` columns: ``rows[r]`` is the
     :meth:`_Keys.gradient` of row r, ``(i, {column: coefficient})`` for
-    the variables i it contains (the other partials are zero), and
-    :attr:`packed` the same partials packed for
-    :class:`linalg.ModularRank`, one slot per column."""
+    the variables i it contains (the other partials are zero),
+    :attr:`entries` their number of entries, and :attr:`packed` the same
+    partials packed for :class:`linalg.ModularRank`, one slot per
+    column."""
 
     def __init__(self, layer: list[dict], keys: _Keys) -> None:
         rows = [keys.gradient(row) for row in layer]
@@ -178,6 +201,7 @@ class _Gradients:
         self.rows = [
             [(i, {column[m]: c for m, c in dk.items()}) for i, dk in grad] for grad in rows
         ]
+        self.entries = sum(len(dk) for grad in rows for _, dk in grad)
 
     @cached_property
     def packed(self) -> list[list[tuple[int, int]]]:
@@ -334,11 +358,26 @@ def _closure(
     enlarges the one span are taken, and each ``(j, beta)`` of the next
     order is added to the span once, because ``d^beta tops[j]`` does not
     depend on the order of differentiation, so a second path to it gives
-    the same vector, already in the span.  beta stays within the
-    exponents of ``tops[j]``, so it fits the same key fields.  The loop
-    ends, as each order drops degree.  A homogeneous row is eliminated
-    only by rows of its own degree (its pivot fixes it), so for forms of
-    degree d group k is a basis of A_{d-k}.
+    the same vector, already in the span; only the partials whose
+    ``(j, beta)`` is new are built (:func:`_derivatives`).  beta stays
+    within the exponents of ``tops[j]``, so it fits the same key fields.
+    The loop ends, as each order drops degree.  A homogeneous row is
+    eliminated only by rows of its own degree (its pivot fixes it), so
+    for forms of degree d group k is a basis of A_{d-k}.
+
+    Distinct betas still give equal derivatives up to a factor: a minor
+    of det:n is reached by every matching of its rows and columns.  So a
+    candidate, its gcd divided out, is first compared with the row kept
+    at its pivot (its largest key; the first row kept there in this
+    order), by ``dict`` equality in C, negated first where the two
+    pivot entries differ in sign (a negation held only for the
+    comparison: storing one per kept row added 8 MB to the 186 MB peak
+    of ``hilbert builtin:det:8``).  One equal to that row lies in the
+    span and is dropped before :meth:`SpanBuilder.add`, which would
+    reject it, so the rows kept, their order and the caps stay those of
+    adding every candidate.  On det:6 dehomogenized at x[6,6] that
+    leaves 947 adds for 922 rows, against the 5123 of adding every
+    candidate.
 
     ``caps[k]``, when given, is the dimension of the forms of the degree
     of order k (homogeneous ``tops`` only).  An order that keeps that
@@ -361,9 +400,21 @@ def _closure(
         order += 1
         cap = cap_of(order)
         nxt = []
+        kept: dict[int, dict] = {}  # pivot -> the first row kept there
         for dv, key in _derivatives(group, keys):
+            row = _primitive(dv)
+            p = max(row)
+            first = kept.get(p)
+            if first is not None:
+                # a multiple of a row kept lies in the span
+                if (row[p] > 0) != (first[p] > 0):
+                    if dict(zip(row, map(neg, row.values()))) == first:
+                        continue
+                elif row == first:
+                    continue
             if span.add(dv):
-                nxt.append((_primitive(dv), key))
+                nxt.append((row, key))
+                kept.setdefault(p, row)
                 if len(nxt) == cap:
                     break
         group = nxt
@@ -377,16 +428,24 @@ def _primitive(row: dict) -> dict:
 
 def _derivatives(group: list, keys: _Keys):
     """The first partials ``(d_i row, (j, beta + e_i))`` of the rows of
-    one closure group, each ``(j, beta + e_i)`` once.  All partials of a
-    row come from one :meth:`_Keys.gradient`, so one reached again by
-    another path is made but not yielded."""
-    tried = set()
+    one closure group, each ``(j, beta + e_i)`` once.  The variables of
+    a row whose ``(j, beta + e_i)`` is not yet tried are marked tried,
+    and one :meth:`_Keys.gradient` builds their partials only: a
+    partial reached again by another path is not made.  A variable
+    absent from the row is not marked, but every path to its
+    ``(j, beta + e_i)`` gives the same zero partial."""
+    tried: dict[int, set] = {}  # j -> the packed beta + e_i tried
+    units = [1 << s for s in keys.shifts]
     for row, (j, beta) in group:
-        for i, dv in keys.gradient(row):
-            key = (j, beta + (1 << keys.shifts[i]))
-            if key not in tried:
-                tried.add(key)
-                yield dv, key
+        seen = tried.setdefault(j, set())
+        wanted = []
+        for i in keys.variables(row):
+            if beta + units[i] not in seen:
+                seen.add(beta + units[i])
+                wanted.append(i)
+        if wanted:
+            for i, dv in keys.gradient(row, wanted):
+                yield dv, (j, beta + units[i])
 
 
 def differentiate_series(W: LinearSeries, theta: DualForm) -> LinearSeries | None:
@@ -502,23 +561,38 @@ def derivative_kernel_dims(W: LinearSeries, partial: DualForm) -> list[int]:
     (``W._gradients[t]`` is None) the rank is r_t with no elimination:
     D maps R_t onto R_{t-1}, which is A_{t-1}.  On the bench's
     ``random_series`` workload at seed 1 the modular rank reaches r_t in
-    all 210 of its kernels.
+    all 150 of its kernels (210 when single forms are not mirrored).
+
+    For a single form F (``W.dim == 1``) the apolar algebra is
+    Gorenstein with socle degree d (Iarrobino and Kanev, LNM 1721), so
+    ``rank(D|A_t) = rank(D|A_{d+1-t})``: each pair {t, d+1-t} is ranked
+    once, and that rank serves both.  Where either layer is all of its
+    R_t, both ranks are r_t = r_{d+1-t} (h is symmetric) with no
+    elimination; otherwise the side whose partials hold fewer entries is
+    ranked.  A series of two or more forms has no such duality, and each
+    of its degrees is ranked on its own.
     """
     if not isinstance(partial, DualForm) or partial.context != W.context:
         raise ContextMismatchError("expected a DualForm over the series context")
     if not partial.is_linear_form():
         raise ValueError("derivative direction must be a nonzero linear dual form")
     dims = hilbert_function(W)
+    d = W.degree
     grads = W._gradients
     plan = {m.index(1): (c, 0) for m, c in clear_denominators(partial.terms).items()}
     weight = dict.fromkeys(plan, 1 / len(plan))
-    out = [dims[0]]
-    for t in range(1, len(dims)):
+    ranks = {}
+    for t in range(1, d + 1):
+        if t in ranks:
+            continue
+        # a single form's side of t; a series is never mirrored
+        s = d + 1 - t if W.dim == 1 else t
         rank = min(dims[t], dims[t - 1])
-        if grads[t] is not None:
-            rank = _image_rank(grads[t], lambda u: plan, 1, 1, weight, rank, True)
-        out.append(dims[t] - rank)
-    return out
+        if grads[t] is not None and grads[s] is not None:
+            side = min((t, s), key=lambda u: grads[u].entries)
+            rank = _image_rank(grads[side], lambda u: plan, 1, 1, weight, rank, True)
+        ranks[t] = ranks[s] = rank
+    return [dims[0]] + [dims[t] - ranks[t] for t in range(1, d + 1)]
 
 
 def _image_rank(
@@ -840,12 +914,13 @@ def coordinate_closure_dim(F: Polynomial, j: int, a: Rational) -> int:
     """``diff_closure_dim(dehomogenize(F, a * x_j))`` for a nonzero
     homogeneous F, with no polynomial built: F is packed once, and
     setting ``x_j = 1/a`` clears field j of each key and scales its term
-    by ``a^(-e_j)``, e_j the exponent cleared.  No two terms meet, as F
+    by ``a^(-e_j)``, e_j the exponent cleared (at a = 1, the direction
+    every report takes, no term is divided).  No two terms meet, as F
     is homogeneous (the other exponents fix e_j), so the row is F's
     terms rekeyed, its denominators cleared.  The keys keep F's width,
     and the closure counts its rows one order at a time."""
-    keys = _Keys(len(F.context), max(max(m) for m in F.terms))
+    keys = _Keys(len(F.context), max(map(max, F.terms)))
     clear = ~(keys.mask << keys.shifts[j])
     a = Fraction(a)
-    row = {keys.pack(m) & clear: c / a ** m[j] for m, c in F.terms.items()}
+    row = {keys.pack(m) & clear: c if a == 1 else c / a ** m[j] for m, c in F.terms.items()}
     return sum(map(len, _closure([clear_denominators(row)], keys)))

@@ -93,14 +93,17 @@ def fmt_cell(q: Rational) -> str:
 
 def _read_lines(path: str) -> list[tuple[int, str]]:
     """The numbered lines of a UTF-8 file that are neither blank nor ``#``
-    comments, as they are in the file.  A file that cannot be opened or
-    decoded exits 1, named in the message."""
+    comments, as they are in the file.  Lines end at ``\n``, ``\r\n``
+    or ``\r`` only (universal newlines); other characters that
+    ``str.splitlines`` breaks at, such as ``\f`` or ``\u2028``, stay in
+    their line.  A file that cannot be opened or decoded exits 1, named
+    in the message."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"error: cannot read {path!r}: {exc}", 1) from exc
-    numbered = enumerate(text.splitlines(), start=1)
+    numbered = enumerate(text.split("\n"), start=1)
     return [(i, ln) for i, ln in numbered if ln.strip() and not ln.lstrip().startswith("#")]
 
 

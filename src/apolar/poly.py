@@ -435,16 +435,21 @@ def format_polynomial(f: Polynomial) -> str:
     names = f.context.names
     if isinstance(f, DualForm):
         names = tuple(dual_name(n) for n in names)
-    items = sorted(
-        f.terms.items(), key=lambda kv: (-sum(kv[0]), tuple(-e for e in kv[0]))
-    )
+    n = len(names)
+    items = []
+    for mono, c in f.terms.items():
+        # each term is sorted and named from its nonzero exponents only,
+        # so a wide context costs one C-level scan per term.  The pairs
+        # (i, -e) with (n, 0) after them ascend as the exponent tuples
+        # descend: (n, 0) stands for the zeros past the last pair
+        support = [(i, mono[i]) for i in itertools.compress(range(n), mono)]
+        order = [(i, -e) for i, e in support]
+        order.append((n, 0))
+        items.append(((-sum(e for _, e in support), order), support, c))
+    items.sort(key=lambda item: item[0])
     pieces = []
-    for mono, c in items:
-        factors = [
-            name if e == 1 else f"{name}^{e}"
-            for name, e in zip(names, mono)
-            if e
-        ]
+    for _, support, c in items:
+        factors = [names[i] if e == 1 else f"{names[i]}^{e}" for i, e in support]
         mag = abs(c)
         if not factors:
             body = _format_coeff(mag)

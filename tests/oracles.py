@@ -2,16 +2,18 @@
 
 Deliberately naive: textbook rational Gaussian elimination and direct
 derivative enumeration, sharing no code with the package internals.
-The one exception, :func:`reference_closure`, is a row-order reference
-rather than an oracle, and says so.
+The exceptions, :func:`reference_closure`,
+:func:`closure_adding_every_candidate` and
+:func:`dense_format_polynomial`, are references for the order of rows or
+terms rather than oracles, and say so.
 """
 
 from fractions import Fraction
 from math import factorial, gcd
 
-from apolar import Polynomial, monomial_basis
+from apolar import DualForm, Polynomial, monomial_basis
 from apolar.linalg import SpanBuilder
-from apolar.poly import partial_terms
+from apolar.poly import _format_coeff, dual_name, partial_terms
 
 
 def naive_rank(rows):
@@ -264,6 +266,66 @@ def reference_closure(tops, n):
             if (dv := partial_terms(row, i)) and span.add(dv)
         ]
     return groups
+
+
+def closure_adding_every_candidate(tops, keys, caps=()):
+    """Row-order reference for ``apolarity._closure``, not an oracle: the
+    same loop over packed rows (``keys`` is an ``apolarity._Keys``), with
+    every first partial of a kept row built and every ``(j, beta)``
+    tried once given to the span, none dropped beforehand as a multiple
+    of a row already kept.  Returns the groups, each list of rows
+    primitive, and, like the closure, stops before the first order that
+    keeps ``caps[k]`` rows."""
+    cap_of = dict(enumerate(caps)).get
+    span = SpanBuilder()
+    group = [(primitive(row), (j, 0)) for j, row in enumerate(tops) if span.add(row)]
+    groups = []
+
+    def candidates():
+        tried = set()
+        for row, (j, beta) in group:
+            for i, dv in keys.gradient(row):
+                key = (j, beta + (1 << keys.shifts[i]))
+                if key not in tried:
+                    tried.add(key)
+                    yield dv, key
+
+    while group and len(group) != cap_of(len(groups)):
+        groups.append([row for row, _ in group])
+        cap = cap_of(len(groups))
+        nxt = []
+        for dv, key in candidates():
+            if span.add(dv):
+                nxt.append((primitive(dv), key))
+                if len(nxt) == cap:
+                    break
+        group = nxt
+    return groups
+
+
+def dense_format_polynomial(f):
+    """Reference for ``poly.format_polynomial``: terms sorted by degree,
+    then by their whole exponent tuples, descending, and each named by a
+    walk over every variable."""
+    if not f.terms:
+        return "0"
+    names = f.context.names
+    if isinstance(f, DualForm):
+        names = tuple(dual_name(n) for n in names)
+    items = sorted(f.terms.items(), key=lambda kv: (-sum(kv[0]), tuple(-e for e in kv[0])))
+    pieces = []
+    for mono, c in items:
+        factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, mono) if e]
+        mag = abs(c)
+        if not factors:
+            body = _format_coeff(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = _format_coeff(mag) + "*" + "*".join(factors)
+        sign = "-" if c < 0 else ""
+        pieces.append(sign + body if not pieces else f" {sign or '+'} " + body)
+    return "".join(pieces)
 
 
 def primitive(row):

@@ -333,8 +333,16 @@ def test_malformed_form_file_exits_1_with_position(tmp_path, capsys, text, col, 
         ("x^2 + y^2\n   x y\n", 2, 6, "expected '+', '-' or end of input, got 'y'"),
         ("x\n\t  x^2 +  \n", 2, 11, "expected a term, got 'end of input'"),
         ("x\r\n y\r\n  z é\r\n", 3, 5, "unexpected character 'é'"),
+        # lines end at line ends only: a form feed, or a line separator,
+        # is a blank inside its line
+        ("x^2\f\ny + \n", 2, 5, "expected a term, got 'end of input'"),
+        ("x^2\fy^2", 1, 5, "expected '+', '-' or end of input, got 'y'"),
+        ("x^2\u2028y^2\n", 1, 5, "expected '+', '-' or end of input, got 'y'"),
     ],
-    ids=["fifth-line", "indented", "trailing-blanks", "crlf"],
+    ids=[
+        "fifth-line", "indented", "trailing-blanks", "crlf", "form-feed-line-end",
+        "form-feed-in-a-line", "line-separator-in-a-line",
+    ],
 )
 def test_form_file_error_names_its_line_and_column_in_the_file(
     tmp_path, capsys, text, line, col, message

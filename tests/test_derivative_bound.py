@@ -10,6 +10,7 @@ rank h(t-1) in the degrees where the layer is not full.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,12 @@ from apolar import (
 )
 from apolar.catalog import build, parse_family
 from apolar.linalg import ModularRank
-from oracles import naive_derivative_bound, naive_monomials
+from oracles import (
+    naive_derivative_bound,
+    naive_directional_derivative,
+    naive_monomials,
+    naive_rank,
+)
 
 
 def coefficients(partial: DualForm) -> list[Fraction]:
@@ -185,3 +191,96 @@ def test_bounds_path_never_builds_a_derivative_series(monkeypatch):
     partial = parse_dual_form("d[1,1]", W.context)
     entry = bound_report(W, "det:3", partial=partial).entry("derivative")
     assert entry.value == naive_derivative_bound(forms, coefficients(partial)) == 14
+
+
+# ----------------------------------------------------------------------
+# a single form's kernel ranks are mirrored: its apolar algebra is
+# Gorenstein, so rank(D|A_t) = rank(D|A_{d+1-t})
+
+
+def ranks_by_layer(W, partial):
+    """rank(D|A_t) for t = 0..d, each from its own layer: the naive rank
+    of D applied term by term to the layer's rows, or to every degree-t
+    monomial where the layer is all of R_t."""
+    ctx, n = W.context, len(W.context)
+    out = [0]
+    for t in range(1, W.degree + 1):
+        layer = W._layers[t]
+        if layer is None:
+            basis = [Polynomial(ctx, {m: 1}) for m in naive_monomials(n, t)]
+        else:
+            basis = [Polynomial(ctx, {W._keys.unpack(k): c for k, c in row.items()})
+                     for row in layer]
+        images = [naive_directional_derivative(g, coefficients(partial)) for g in basis]
+        monos = naive_monomials(n, t - 1)
+        out.append(naive_rank([[g.coefficient(m) for m in monos] for g in images]))
+    return out
+
+
+def check_mirror(W, partial):
+    """The kernels against the rank of each layer on its own, and which
+    layers were ranked: one of each pair {t, d+1-t} of built layers for
+    a single form, every built layer for a series of two or more."""
+    W._gradients
+    ranked = []
+    image_rank = apolar.apolarity._image_rank
+
+    def recorded(grads, *args):
+        ranked.append(W._gradients.index(grads))
+        return image_rank(grads, *args)
+
+    with mock.patch.object(apolar.apolarity, "_image_rank", recorded):
+        kernels = derivative_kernel_dims(W, partial)
+    ranks = ranks_by_layer(W, partial)
+    assert kernels == [h - r for h, r in zip(hilbert_function(W), ranks)]
+    d = W.degree
+    built = [t for t in range(1, d + 1) if W._layers[t] is not None]
+    if W.dim == 1:
+        assert ranks[1:] == ranks[:0:-1]
+
+        def pair(t):
+            return min(t, d + 1 - t), max(t, d + 1 - t)
+
+        assert sorted(map(pair, ranked)) == sorted({pair(t) for t in built if d + 1 - t in built})
+    else:
+        assert ranked == built
+
+
+@st.composite
+def form_and_direction(draw):
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 6))
+    ctx = VarContext(tuple(f"x{i}" for i in range(n)))
+    form = draw(st.dictionaries(
+        st.sampled_from(naive_monomials(n, d)), st.integers(-4, 4).filter(bool),
+        min_size=1, max_size=20,
+    ))
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    coeffs = draw(st.lists(coeff, min_size=n, max_size=n).filter(any))
+    return LinearSeries.of_form(Polynomial(ctx, form)), linear_dual(ctx, coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(form_and_direction())
+def test_single_form_kernels_are_mirrored(case):
+    check_mirror(*case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_and_direction())
+def test_kernels_of_a_series_are_mirrored_only_for_one_form(case):
+    W, partial, _ = case
+    check_mirror(W, partial)
+
+
+@pytest.mark.parametrize(
+    "family",
+    ["det:2", "det:3", "perm:2", "perm:3", "pf:2", "pf:3", "symdet:2", "symdet:3",
+     "monprod:2", "monprod:3", "monprod:4", "monprod:5", "minors:2,3,2", "minors:3,3,2",
+     "matmul:2,2,2"],
+)
+def test_family_kernels_are_mirrored_only_for_one_form(family):
+    W = build(parse_family(family))
+    n = len(W.context)
+    check_mirror(W, linear_dual(W.context, [1] + [0] * (n - 1)))
+    check_mirror(W, linear_dual(W.context, [(7 * i) % 11 - 5 or 3 for i in range(n)]))

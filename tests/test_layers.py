@@ -18,6 +18,7 @@ import json
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -40,14 +41,16 @@ from apolar import (
     parse_polynomial,
 )
 from apolar import apolarity, linalg
-from apolar.apolarity import _closure, _count_generators, _Keys
+from apolar.apolarity import _closure, _count_generators, _Keys, coordinate_closure_dim
 from apolar.catalog import build
 from apolar.cli import main
 from apolar.linalg import SpanBuilder, clear_denominators
 from apolar.poly import partial_terms
 from oracles import (
+    closure_adding_every_candidate,
     naive_catalecticant,
     naive_catalecticant_hilbert,
+    naive_closure_dim,
     naive_generator_degrees,
     naive_ideal_component,
     naive_monomials,
@@ -333,11 +336,14 @@ def built(layers):
     return [layer for layer in layers if layer is not None]
 
 
-@pytest.mark.parametrize("family, adds, kept", [("monprod:6", 63, 57), ("det:4", 152, 53)])
+@pytest.mark.parametrize("family, adds, kept", [("monprod:6", 63, 57), ("det:4", 69, 53)])
 def test_layers_try_each_derivative_once(monkeypatch, family, adds, kept):
     # the plain loop makes 193 and 321 adds: every path to a derivative.
-    # Both end at A_1, which is all of R_1: the 6 and 16 rows that fill it
-    # are added, kept in no layer, and A_0 is not tried
+    # Trying each derivative once makes 63 and 152; a derivative that is
+    # a multiple of the row kept at its pivot in its order (a minor of
+    # det:4 reached by another matching) is then not added, which leaves
+    # 69 for det:4.  Both end at A_1, which is all of R_1: the 6 and 16
+    # rows that fill it are added, kept in no layer, and A_0 is not tried
     W = build(parse_family(family))
     assert W.dim == 1
     layers, calls = count_calls(monkeypatch, SpanBuilder, "add", lambda: W._layers)
@@ -359,9 +365,68 @@ def test_closure_stops_at_a_full_order_on_dense_quartics(monkeypatch):
     groups, uncapped = count_calls(
         monkeypatch, SpanBuilder, "add", lambda: list(_closure(tops, keys))
     )
-    assert (capped, uncapped) == (25, 74)
+    # adding every candidate makes 74 uncapped adds; 8 are multiples of
+    # the row kept at their pivot and are dropped before the span
+    assert (capped, uncapped) == (25, 66)
     assert groups[:2] == list(reversed(built(layers)))
     check_closure_rows(W.reduced_basis)
+
+
+# ----------------------------------------------------------------------
+# the closure against the loop that gives every candidate to the span: a
+# candidate dropped as a multiple of the row kept at its pivot lies in
+# the span, so the same rows are kept
+
+
+def check_against_every_candidate(tops, keys, caps=()):
+    """The rows of ``_closure``, after checking that they are those of the
+    loop that adds every candidate, in the same order and with the same
+    entries in the same key order."""
+    def unpacked(groups):
+        return [[[(keys.unpack(m), c) for m, c in r.items()] for r in g] for g in groups]
+
+    got = list(_closure(tops, keys, caps))
+    assert unpacked(got) == unpacked(closure_adding_every_candidate(tops, keys, caps))
+    return got
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_series())
+def test_closure_drops_only_candidates_in_the_span_on_random_series(W):
+    n, d, keys = len(W.context), W.degree, W._keys
+    tops = [keys.pack_row(f.terms) for f in W.reduced_basis]
+    check_against_every_candidate(tops, keys)
+    check_against_every_candidate(
+        tops, keys, tuple(math.comb(n + d - k - 1, d - k) for k in range(d + 1))
+    )
+
+
+# forms with many derivatives equal up to a factor: a minor of det:n, or
+# a pfaffian of pf:3, is reached by many matchings, and a derivative of
+# x^a*y^b or (x+y)^d by every order of its steps
+MANY_EQUAL = st.one_of(
+    st.sampled_from(["det:3", "det:4", "pf:3"]).map(
+        lambda family: build(parse_family(family)).forms[0]
+    ),
+    st.tuples(st.integers(1, 6), st.integers(1, 6)).map(
+        lambda ab: parse_polynomial(f"x^{ab[0]}*y^{ab[1]}")
+    ),
+    st.integers(1, 8).map(lambda d: parse_polynomial("x + y") ** d),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(MANY_EQUAL, random_series().map(lambda W: W.forms[0])), st.data())
+def test_closure_drops_only_candidates_in_the_span_at_a_coordinate(F, data):
+    # the dehomogenization at a * x_j, a = 1 (every report's direction)
+    # or not, is not homogeneous: rows of several degrees share an order
+    ctx = F.context
+    j = data.draw(st.integers(0, len(ctx) - 1))
+    a = data.draw(st.sampled_from([1, -1, 2, Fraction(1, 3)]))
+    f = dehomogenize(F, Polynomial(ctx, {tuple(int(i == j) for i in range(len(ctx))): a}))
+    keys = _Keys(len(ctx), max(max(m, default=0) for m in f.terms))
+    groups = check_against_every_candidate([keys.pack_row(f.terms)], keys)
+    assert coordinate_closure_dim(F, j, a) == sum(map(len, groups)) == naive_closure_dim(f)
 
 
 @settings(max_examples=150, deadline=None)

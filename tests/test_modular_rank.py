@@ -150,19 +150,31 @@ def test_a_direction_singular_mod_prime_falls_back_to_the_exact_kernel():
     ctx = VarContext(("x", "y"))
     W = LinearSeries.of_form(Polynomial(ctx, {(3, 0): 1, (0, 3): 1}))
     D = DualForm(ctx, {(1, 0): 1, (0, 1): PRIME})
+    W._gradients  # the layers' own spans are not recorded
     modular_dims = []
+    exact_dims = []
     modular_add = ModularRank.add
+    exact_add = SpanBuilder.add
 
     def recorded(self, x):
         enlarged = modular_add(self, x)
         modular_dims.append(self.dim)
         return enlarged
 
-    with mock.patch.object(ModularRank, "add", recorded):
+    def exact(self, vec):
+        enlarged = exact_add(self, vec)
+        exact_dims.append(self.dim)
+        return enlarged
+
+    with mock.patch.object(ModularRank, "add", recorded), \
+            mock.patch.object(SpanBuilder, "add", exact):
         with mock.patch.object(apolarity, "packs_densely", lambda *a: True):
             assert derivative_kernel_dims(W, D) == [1, 1, 0, 0]
-    # t = 2 stopped at 1 of r = 2; t = 3 reached r = 1
-    assert modular_dims == [1, 1, 1]
+    # t = 2 pairs with itself: the modular rank stops at 1 of r = 2 and
+    # the exact span reaches 2.  t = 3 mirrors t = 1, where A_1 is all of
+    # R_1, so its one image (rank r = 1) is not added
+    assert modular_dims == [1, 1]
+    assert exact_dims == [1, 2]
 
 
 # ----------------------------------------------------------------------
@@ -277,30 +289,32 @@ def dense_series_file(tmp_path, seed, n=4, d=5, k=3):
 
 # (nonzeros, vectors, slots, packs densely) of each density test that
 # `bounds --trials 2 --seed 1` makes: the count's degrees whose layer is
-# not full, then the kernels of each direction.  Each partial weighs n-1
-# in the count and 1/v in the kernel of a direction with v variables; a
-# kernel that summed the partials instead would send the families'
-# sparse kernels to the modular route.  Dense series are keyed by
-# (seed, n, d, k) as in dense_series_file.
+# not full, then the kernels of each direction.  A single form's kernel
+# at t gives the one at d+1-t too, and a pair {t, d+1-t} with a layer
+# that is all of R_t needs no span, so a single form's direction makes
+# one density test per pair of built layers, not one per built layer.
+# The series matmul:2,2,2 (four forms) and (1, 3, 6, 2) (two) are not
+# mirrored.  Each partial weighs n-1 in the count and 1/v in the kernel
+# of a direction with v variables; a kernel that summed the partials
+# instead would send the families' sparse kernels to the modular route.
+# Dense series are keyed by (seed, n, d, k) as in dense_series_file.
 DENSITY_TESTS = {
     "builtin:det:3": [
         (288, 81, 324, False), (144, 9, 648, False),
-        (4, 9, 9, False), (2, 1, 18, False), (4, 9, 9, False), (2, 1, 18, False),
+        (4, 9, 9, False), (4, 9, 9, False),
     ],
     "builtin:pf:4": [
         (11340, 1960, 10584, False), (34020, 784, 79380, False),
         (11340, 28, 158760, False),
-        (15, 70, 28, False), (45, 28, 210, False), (15, 1, 420, False),
-        (15, 70, 28, False), (45, 28, 210, False), (15, 1, 420, False),
+        (15, 70, 28, False), (15, 70, 28, False),
     ],
     "builtin:symdet:3": [
         (105, 36, 90, False), (60, 6, 180, False),
-        (3.5, 6, 6, False), (2, 1, 12, True), (3.5, 6, 6, False), (2, 1, 12, True),
+        (3.5, 6, 6, False), (3.5, 6, 6, False),
     ],
     "builtin:monprod:4": [
         (36, 24, 24, False), (36, 16, 36, False), (12, 4, 24, True),
-        (3, 6, 4, True), (3, 4, 6, True), (1, 1, 4, True),
-        (3, 6, 4, True), (3, 4, 6, True), (1, 1, 4, True),
+        (3, 6, 4, True), (3, 6, 4, True),
     ],
     "builtin:matmul:2,2,2": [
         (88, 96, 66, False), (176, 48, 528, False),
@@ -314,8 +328,7 @@ DENSITY_TESTS = {
     ],
     (3, 3, 5, 1): [
         (142, 18, 18, True), (118, 9, 30, True), (58, 3, 42, True),
-        (71 / 3, 6, 6, True), (59 / 3, 3, 10, True), (29 / 3, 1, 14, True),
-        (71 / 3, 6, 6, True), (59 / 3, 3, 10, True), (29 / 3, 1, 14, True),
+        (71 / 3, 6, 6, True), (71 / 3, 6, 6, True),
     ],
 }
 

@@ -27,7 +27,7 @@ from apolar.catalog import build_determinant, grid_context
 from apolar.poly import _assemble, _Parser, _Scanner
 import math
 
-from oracles import naive_homogenize
+from oracles import dense_format_polynomial, naive_homogenize
 
 XY = VarContext.of("x", "y")
 XYZ = VarContext.of("x", "y", "z")
@@ -493,6 +493,16 @@ def test_action_respects_operator_products(op1, op2, f):
 @given(polys())
 def test_format_parse_round_trip(f):
     assert parse_polynomial(format_polynomial(f), f.context) == f
+
+
+SEVEN = VarContext(tuple(f"x[{i}]" for i in range(1, 8)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(polys(), polys(SEVEN, max_degree=4, max_terms=8), dual_polys(SEVEN, 3, 6)))
+def test_format_equals_the_dense_reference(f):
+    # terms are sorted and named from their nonzero exponents only
+    assert format_polynomial(f) == dense_format_polynomial(f)
 
 
 def test_format_orders_terms_graded_lex():
